@@ -392,15 +392,19 @@ def cmd_eval(args) -> int:
     got = [(w.shape, b.shape) for w, b in params.blocks]
     if got != want:
         raise ConfigError(f"snapshot shapes {got} do not match model {want}")
-    print(f"train accuracy: {accuracy(setup.model, params, setup.train_set):.2f}%")
-    scored = setup.train_set
+    scored = setup.test_set if setup.test_set is not None else setup.train_set
+    table = confusion(setup.model, params, scored)
+    # the diagonal count over N is the same division accuracy() makes
+    scored_acc = 100.0 * float(np.trace(table) / table.sum())
     if setup.test_set is not None:
-        print(f"test accuracy: "
-              f"{accuracy(setup.model, params, setup.test_set):.2f}%")
-        scored = setup.test_set
+        print(f"train accuracy: "
+              f"{accuracy(setup.model, params, setup.train_set):.2f}%")
+        print(f"test accuracy: {scored_acc:.2f}%")
+    else:
+        print(f"train accuracy: {scored_acc:.2f}%")
     print(f"sparsity: {sparsity_pct(params, setup.config.reg.include_bias):.2f}%")
     print("confusion (rows true, cols predicted):")
-    print(confusion(setup.model, params, scored))
+    print(table)
     return 0
 
 

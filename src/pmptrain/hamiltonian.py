@@ -1,4 +1,4 @@
-"""Hamilton-Pontryagin values, the closed-form layer update, and acceptance.
+"""Hamilton-Pontryagin values, the closed-form layer update, and its gap.
 
 In the control-affine order every layer map is linear in its parameters, so
 the layer HP function is exactly
@@ -30,8 +30,6 @@ from .errors import InputError
 from .network import HamiltonianGradient, ParamSet
 from .regularization import (Regularizer, hard_threshold, reg_value,
                              soft_threshold)
-
-_ACCEPT_SLACK = 1e-12  # absolute rounding slack in the acceptance inequality
 
 
 def _check_eps(eps: float) -> float:
@@ -78,21 +76,8 @@ def layer_update(f: np.ndarray, u: np.ndarray, reg: Regularizer,
     return soft_threshold(inner, gamma)
 
 
-def satisfies_aug_inequality(f: np.ndarray, w: np.ndarray, u: np.ndarray,
-                             reg: Regularizer, eps: float) -> bool:
-    """Relaxed acceptance: augmented HP at w >= plain HP at u (with slack)."""
-    return aug_hp_value(f, w, u, reg, eps) >= hp_value(f, u, reg) - _ACCEPT_SLACK
-
-
 def _bias_reg(reg: Regularizer) -> Regularizer:
     return reg if reg.include_bias else Regularizer("none")
-
-
-def hp_value_pair(f_pair, u_pair, reg: Regularizer) -> float:
-    """Layer HP over the concatenated (weight, bias) control block."""
-    fw, fb = f_pair
-    uw, ub = u_pair
-    return hp_value(fw, uw, reg) + hp_value(fb, ub, _bias_reg(reg))
 
 
 def aug_hp_value_pair(f_pair, w_pair, u_pair, reg: Regularizer, eps: float) -> float:
@@ -117,21 +102,6 @@ def update_params(f: HamiltonianGradient, u: ParamSet, reg: Regularizer,
         raise InputError("F and u have different layer counts")
     return ParamSet([layer_update_pair(fp, up, reg, eps)
                      for fp, up in zip(f.blocks, u.blocks)])
-
-
-def hp_total(f: HamiltonianGradient, u: ParamSet, reg: Regularizer) -> float:
-    """Sum of layer HP values."""
-    if len(f) != len(u):
-        raise InputError("F and u have different layer counts")
-    return sum(hp_value_pair(fp, up, reg)
-               for fp, up in zip(f.blocks, u.blocks))
-
-
-def aug_hp_total(f: HamiltonianGradient, w: ParamSet, u: ParamSet,
-                 reg: Regularizer, eps: float) -> float:
-    """Sum of layer augmented-HP values."""
-    return sum(aug_hp_value_pair(fp, wp, up, reg, eps)
-               for fp, wp, up in zip(f.blocks, w.blocks, u.blocks))
 
 
 def hamiltonian_gap(f: HamiltonianGradient, u_next: ParamSet, u: ParamSet,

@@ -2,17 +2,19 @@
 
 Forward maps (affine, 2-D cross-correlation, pooling, componentwise
 activations) and the VJPs the adjoint sweep needs. Everything is a pure
-function over ndarrays; no state, no views escape.
+function over ndarrays; no state, no views escape. The fully-connected
+VJPs are single matrix products and live inline in the sweeps.
 
 Conventions:
   - dtype is float64 everywhere; inputs are validated and rejected if
     non-finite.
-  - every op accepts a single sample or a batch with one extra leading axis
-    (vectors become (N, d), images (C, H, W) become (N, C, H, W));
-  - gradient outputs that live in parameter space (weight_grad, bias_grad,
-    kernel_grad) are SUMMED over the batch axis, matching their use as
-    sums of per-sample adjoint products;
-  - input_vjp always has the shape of x.
+  - the forward maps and pool_vjp accept a single sample or a batch with
+    one extra leading axis (vectors become (N, d), images (C, H, W) become
+    (N, C, H, W)); the convolution VJPs take batches only;
+  - gradient outputs that live in parameter space (kernel_grad, bias_grad)
+    are SUMMED over the batch axis, matching their use as sums of
+    per-sample adjoint products;
+  - an input VJP always has the shape of the input.
 """
 
 from __future__ import annotations
@@ -21,11 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import expit
 
 from .errors import InputError, ShapeError
 
-ACTIVATIONS = ("tanh", "relu", "softplus", "identity")
 POOL_MODES = ("avg", "max")
 
 
@@ -63,15 +63,6 @@ class ConvGeometry:
         for field in ("kernel_h", "kernel_w", "in_channels", "out_channels"):
             if getattr(self, field) < 1:
                 raise InputError(f"{field} must be >= 1, got {getattr(self, field)}")
-
-    def out_extent(self, in_extent: int) -> int:
-        """floor((in + 2*pad - k) / stride) + 1, validated to be >= 1."""
-        padded = in_extent + 2 * self.pad
-        k = self.kernel_h  # callers pass height/width separately via out_hw
-        if padded < k:
-            raise ShapeError(
-                f"kernel ({k}) larger than padded input extent ({padded})")
-        return (padded - k) // self.stride + 1
 
     def out_hw(self, in_h: int, in_w: int) -> tuple[int, int]:
         oh = (in_h + 2 * self.pad - self.kernel_h) // self.stride + 1
@@ -115,29 +106,6 @@ def affine(weight: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.ndarray:
             f"columns {weight.shape[1]}")
     out = xb @ weight.T + bias
     return out if batched else out[0]
-
-
-def affine_vjp(weight: np.ndarray, x: np.ndarray, p: np.ndarray):
-    """VJPs of <p, affine(W, b, x)>.
-
-    Returns (input_vjp, weight_grad, bias_grad); the parameter grads are
-    summed over the batch when x and p carry a batch axis.
-    """
-    weight = np.asarray(weight, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    xb, batched = _batched(x, 1)
-    pb, pbatched = _batched(p, 1)
-    if batched != pbatched or xb.shape[0] != pb.shape[0]:
-        raise ShapeError("affine_vjp: x and p must share the batch axis")
-    if xb.shape[1] != weight.shape[1] or pb.shape[1] != weight.shape[0]:
-        raise ShapeError(
-            f"affine_vjp shapes inconsistent: weight {weight.shape}, "
-            f"x {xb.shape}, p {pb.shape}")
-    input_vjp = pb @ weight
-    weight_grad = pb.T @ xb
-    bias_grad = pb.sum(axis=0)
-    return (input_vjp if batched else input_vjp[0]), weight_grad, bias_grad
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +163,10 @@ def conv2d(kernel: np.ndarray, bias: np.ndarray, x: np.ndarray,
 
 
 def _conv_param_grads(x: np.ndarray, p: np.ndarray, geom: ConvGeometry):
-    """(kernel_grad, bias_grad) of <p, conv2d(., b, x)>, batch-summed."""
+    """(kernel_grad, bias_grad) of <p, conv2d(., b, x)>, batch-summed.
+
+    x is a batch (N, Ci, H, W) and p its adjoint (N, Co, OH, OW).
+    """
     win = _conv_windows(x, geom)  # (N, Ci, OH, OW, kh, kw)
     kernel_grad = np.tensordot(p, win, axes=((0, 2, 3), (0, 2, 3)))
     bias_grad = p.sum(axis=(0, 2, 3))
@@ -224,31 +195,6 @@ def _conv_input_vjp(kernel: np.ndarray, p: np.ndarray, in_hw: tuple[int, int],
         xg = xg[:, :, geom.pad:geom.pad + in_hw[0],
                 geom.pad:geom.pad + in_hw[1]]
     return np.ascontiguousarray(xg)
-
-
-def conv2d_vjp(kernel: np.ndarray, x: np.ndarray, p: np.ndarray,
-               geom: ConvGeometry):
-    """VJPs of <p, conv2d(kernel, b, x)>.
-
-    Returns (input_vjp, kernel_grad, bias_grad); kernel_grad and bias_grad
-    are summed over batch (and bias_grad over output positions).
-    """
-    kernel = np.asarray(kernel, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    xb, batched = _batched(x, 3)
-    pb, pbatched = _batched(p, 3)
-    if batched != pbatched or xb.shape[0] != pb.shape[0]:
-        raise ShapeError("conv2d_vjp: x and p must share the batch axis")
-    _check_conv_shapes(kernel, xb, geom)
-    oh, ow = geom.out_hw(xb.shape[2], xb.shape[3])
-    if pb.shape[1:] != (geom.out_channels, oh, ow):
-        raise ShapeError(
-            f"adjoint shape {pb.shape[1:]} does not match conv output "
-            f"({geom.out_channels},{oh},{ow})")
-    kernel_grad, bias_grad = _conv_param_grads(xb, pb, geom)
-    xg = _conv_input_vjp(kernel, pb, (xb.shape[2], xb.shape[3]), geom)
-    return (xg if batched else xg[0]), kernel_grad, bias_grad
 
 
 # ---------------------------------------------------------------------------
@@ -332,40 +278,22 @@ def activate(x: np.ndarray, kind: str) -> np.ndarray:
         return np.tanh(x)
     if kind == "relu":
         return np.maximum(x, 0.0)
-    if kind == "softplus":
-        return np.logaddexp(0.0, x)
     if kind == "identity":
         return x.copy()
     raise InputError(f"unknown activation {kind!r}")
 
 
-def activate_vjp(x: np.ndarray, p: np.ndarray, kind: str) -> np.ndarray:
-    """p times the componentwise derivative (relu derivative at 0 is 0)."""
-    x = np.asarray(x, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    if x.shape != p.shape:
-        raise ShapeError(f"activate_vjp: x {x.shape} and p {p.shape} differ")
-    if kind == "tanh":
-        t = np.tanh(x)
-        return p * (1.0 - t * t)
-    if kind == "relu":
-        return p * (x > 0.0)
-    if kind == "softplus":
-        return p * expit(x)
-    if kind == "identity":
-        return p.copy()
-    raise InputError(f"unknown activation {kind!r}")
-
-
-def _activate_vjp_from_value(value: np.ndarray, x: np.ndarray, p: np.ndarray,
+def _activate_vjp_from_value(value: np.ndarray, p: np.ndarray,
                              kind: str) -> np.ndarray:
-    """Like activate_vjp but reuses the cached forward value where possible."""
+    """p times the activation derivative, read from the forward value.
+
+    value = activate(x, kind); relu's derivative at 0 is 0, and
+    value > 0 exactly where x > 0.
+    """
     if kind == "tanh":
         return p * (1.0 - value * value)
     if kind == "relu":
-        return p * (x > 0.0)
-    if kind == "softplus":
-        return p * expit(x)
+        return p * (value > 0.0)
     if kind == "identity":
         return p.copy()
     raise InputError(f"unknown activation {kind!r}")

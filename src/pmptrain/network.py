@@ -1,6 +1,6 @@
 """Model description, parameter init, forward/backward sweeps, and F_l.
 
-The network is evaluated in the control-affine order: each stored state is a
+The network is evaluated in the control-affine order: each state xt_l is a
 pre-activation, and the activation-plus-pooling map f of a layer is applied
 at the START of the next layer,
 
@@ -11,6 +11,12 @@ which makes every layer map linear in its own parameters u_l = (W_l, b_l).
 With a linear output layer (identity activation, no pooling; softmax lives
 inside the terminal loss) the final state xt_L equals the output of the
 usual activation-after-affine composition.
+
+One forward loop serves both the forward sweep and the output-only
+evaluation. The sweep caches what the backward sweep reads: each layer's
+affine input f_{l-1}(xt_l), the pre-pooling activation where a layer
+pools, and the output xt_L. The inner states themselves are not kept,
+because every activation derivative is read from the activation value.
 
 The backward sweep propagates adjoints p_l by the transposed Jacobians of
 the same maps, seeded with p_L = -(1/M) * per-sample terminal-loss gradient.
@@ -127,31 +133,22 @@ def triple_norm_sq(a: ParamSet, b: ParamSet | None = None) -> float:
 
 @dataclass
 class Trajectory:
-    """States of one forward sweep over a batch.
+    """What one forward sweep over a batch leaves for the backward sweep.
 
-    states[l] holds xt_l for the whole batch, (N, ...) with per-sample
-    shape Model.pre_shapes[l]; fin[l] caches the affine input
-    f_{l-1}(xt_l) (flattened when layer l is fully connected) and
-    act_full[l] the pre-pooling activation values where layer l-1 pools
-    (None otherwise). The caches are derived data for the backward sweep.
+    fin[l] caches the affine input f_{l-1}(xt_l) of layer l for the whole
+    batch (flattened when layer l is fully connected); act_full[l] holds
+    the pre-pooling activation values where layer l-1 pools (None
+    otherwise); outputs is the final state xt_L, (N, m).
     """
 
-    states: list[np.ndarray]
     fin: list[np.ndarray]
     act_full: list[np.ndarray | None]
-
-    @property
-    def outputs(self) -> np.ndarray:
-        return self.states[-1]
-
-    @property
-    def batch_size(self) -> int:
-        return self.states[0].shape[0]
+    outputs: np.ndarray
 
 
 @dataclass
 class AdjointSet:
-    """Adjoints p_1..p_L of a backward sweep; padj[l] pairs states[l].
+    """Adjoints p_1..p_L of a backward sweep; padj[l] pairs state xt_l.
 
     padj[0] is None: the input is data, not a state the principle varies.
     """
@@ -385,8 +382,9 @@ def _affine_layer(spec: LayerSpec, w: np.ndarray, b: np.ndarray,
     return affine(w, b, fin)
 
 
-def forward_sweep(model: Model, params: ParamSet, inputs: np.ndarray) -> Trajectory:
-    """Run the reformulated forward pass, recording all pre-activation states."""
+def _forward(model: Model, params: ParamSet, inputs: np.ndarray,
+             keep: bool) -> Trajectory:
+    """The one forward loop; the backward sweep's caches are filled iff keep."""
     _check_params(model, params)
     inputs = as_tensor(inputs, "inputs")
     if inputs.ndim != len(model.input_shape) + 1 \
@@ -394,7 +392,6 @@ def forward_sweep(model: Model, params: ParamSet, inputs: np.ndarray) -> Traject
         raise ShapeError(
             f"inputs shape {inputs.shape} does not match batched model input "
             f"(N, {', '.join(map(str, model.input_shape))})")
-    states = [inputs]
     fin_cache: list[np.ndarray] = []
     act_cache: list[np.ndarray | None] = []
     current = inputs
@@ -405,14 +402,20 @@ def forward_sweep(model: Model, params: ParamSet, inputs: np.ndarray) -> Traject
             a_full, fin = _apply_f(model.layers[l - 1], current)
         if spec.kind == "fc" and fin.ndim > 2:
             fin = fin.reshape(fin.shape[0], -1)
+        if keep:
+            fin_cache.append(fin)
+            act_cache.append(a_full)
+        del a_full  # unless cached, free it before the affine map's windows
         w, b = params.blocks[l]
         current = _affine_layer(spec, w, b, fin)
         if not np.all(np.isfinite(current)):
             raise NumericOverflowError(l)
-        states.append(current)
-        fin_cache.append(fin)
-        act_cache.append(a_full)
-    return Trajectory(states=states, fin=fin_cache, act_full=act_cache)
+    return Trajectory(fin=fin_cache, act_full=act_cache, outputs=current)
+
+
+def forward_sweep(model: Model, params: ParamSet, inputs: np.ndarray) -> Trajectory:
+    """Run the reformulated forward pass, caching what the backward sweep reads."""
+    return _forward(model, params, inputs, keep=True)
 
 
 def forward_logits(model: Model, params: ParamSet, inputs: np.ndarray,
@@ -423,25 +426,11 @@ def forward_logits(model: Model, params: ParamSet, inputs: np.ndarray,
     single call path when comparing objective values, because summation
     order inside the matrix products may differ between chunk sizes.
     """
-    if chunk is not None and inputs.shape[0] > chunk:
-        parts = [forward_logits(model, params, inputs[i:i + chunk])
-                 for i in range(0, inputs.shape[0], chunk)]
-        return np.concatenate(parts, axis=0)
-    _check_params(model, params)
-    inputs = as_tensor(inputs, "inputs")
-    current = inputs
-    for l, spec in enumerate(model.layers):
-        if l == 0:
-            fin = current
-        else:
-            fin = _apply_f(model.layers[l - 1], current)[1]
-        if spec.kind == "fc" and fin.ndim > 2:
-            fin = fin.reshape(fin.shape[0], -1)
-        w, b = params.blocks[l]
-        current = _affine_layer(spec, w, b, fin)
-        if not np.all(np.isfinite(current)):
-            raise NumericOverflowError(l)
-    return current
+    if chunk is None or inputs.shape[0] <= chunk:
+        return _forward(model, params, inputs, keep=False).outputs
+    return np.concatenate(
+        [_forward(model, params, inputs[i:i + chunk], keep=False).outputs
+         for i in range(0, inputs.shape[0], chunk)], axis=0)
 
 
 def terminal_loss(logits: np.ndarray, labels: np.ndarray,
@@ -485,12 +474,12 @@ def backward_sweep(model: Model, params: ParamSet, traj: Trajectory,
     """Propagate adjoints down to p_1, seeded with -(1/M) terminal gradients."""
     _check_params(model, params)
     terminal_grads = np.asarray(terminal_grads, dtype=np.float64)
-    if len(traj.states) != model.depth + 1:
+    if len(traj.fin) != model.depth:
         raise InputError("trajectory depth does not match the model")
-    if terminal_grads.shape != traj.states[-1].shape:
+    if terminal_grads.shape != traj.outputs.shape:
         raise InputError(
             f"terminal gradients {terminal_grads.shape} do not match the "
-            f"final state {traj.states[-1].shape}")
+            f"final state {traj.outputs.shape}")
     if batch_m < 1:
         raise InputError(f"batch size M must be >= 1, got {batch_m}")
 
@@ -506,20 +495,14 @@ def backward_sweep(model: Model, params: ParamSet, traj: Trajectory,
         else:
             q = p_next @ w
         prev = model.layers[l - 1]
-        n = q.shape[0]
+        q = q.reshape((q.shape[0],) + model.fin_shapes[l])
         if prev.pool is not None:
-            pooled_shape = traj.act_full[l].shape  # pre-pool activation shape
-            pool_out = (n,) + tuple(
-                (pooled_shape[i + 2] - prev.pool.window) // prev.pool.stride + 1
-                for i in range(2))
-            q = q.reshape((n, pooled_shape[1]) + pool_out[1:])
-            q = pool_vjp(traj.act_full[l], q, prev.pool.mode,
-                         prev.pool.window, prev.pool.stride)
-            a_val = traj.act_full[l]
+            value = traj.act_full[l]
+            q = pool_vjp(value, q, prev.pool.mode, prev.pool.window,
+                         prev.pool.stride)
         else:
-            q = q.reshape(traj.states[l].shape)
-            a_val = traj.fin[l].reshape(traj.states[l].shape)
-        padj[l] = _activate_vjp_from_value(a_val, traj.states[l], q, prev.act)
+            value = traj.fin[l].reshape(q.shape)
+        padj[l] = _activate_vjp_from_value(value, q, prev.act)
     return AdjointSet(padj=padj, batch_m=batch_m)
 
 
@@ -568,17 +551,3 @@ def regularization_total(params: ParamSet, reg: Regularizer) -> float:
             total += reg_value(reg, b)
     return reg.rho * total
 
-
-def standard_forward(model: Model, params: ParamSet, inputs: np.ndarray) -> np.ndarray:
-    """Activation-after-affine composition (the unreformulated order)."""
-    _check_params(model, params)
-    h = as_tensor(inputs, "inputs")
-    for l, spec in enumerate(model.layers):
-        if spec.kind == "fc" and h.ndim > 2:
-            h = h.reshape(h.shape[0], -1)
-        w, b = params.blocks[l]
-        h = _affine_layer(spec, w, b, h)
-        h = activate(h, spec.act)
-        if spec.pool is not None:
-            h = pool(h, spec.pool.mode, spec.pool.window, spec.pool.stride)
-    return h

@@ -1,11 +1,18 @@
 """Independent oracles shared by the test modules.
 
-Nothing here calls package internals beyond public forward maps passed in
-as closures; gradients come from central finite differences and structure
-checks from explicit index arithmetic.
+Gradients come from central finite differences and structure checks from
+explicit index arithmetic. Beyond forward maps passed in as closures, the
+only package code used here is the public per-layer forward maps and
+per-block HP values, composed in the order the definitions state.
 """
 
 import numpy as np
+
+from pmptrain.hamiltonian import aug_hp_value, hp_value
+from pmptrain.kernels import activate, affine, conv2d, pool
+from pmptrain.regularization import Regularizer
+
+ACCEPT_SLACK = 1e-12  # absolute rounding slack in the acceptance inequality
 
 
 def fd_grad(f, x, p, h=1e-6):
@@ -127,3 +134,35 @@ def naive_lenet_forward(blocks, image):
     h3 = np.tanh(blocks[2][0] @ flat + blocks[2][1])
     h4 = np.tanh(blocks[3][0] @ h3 + blocks[3][1])
     return blocks[4][0] @ h4 + blocks[4][1]
+
+
+def standard_forward(model, params, inputs):
+    """Activation-after-affine composition (the unreformulated order)."""
+    h = np.asarray(inputs, dtype=np.float64)
+    for spec, (w, b) in zip(model.layers, params.blocks):
+        if spec.kind == "conv":
+            h = conv2d(w, b, h, spec.geom)
+        else:
+            h = affine(w, b, h.reshape(h.shape[0], -1))
+        h = activate(h, spec.act)
+        if spec.pool is not None:
+            h = pool(h, spec.pool.mode, spec.pool.window, spec.pool.stride)
+    return h
+
+
+def hp_value_pair(f_pair, u_pair, reg):
+    """Layer HP over the concatenated (weight, bias) control block."""
+    bias_reg = reg if reg.include_bias else Regularizer("none")
+    return hp_value(f_pair[0], u_pair[0], reg) \
+        + hp_value(f_pair[1], u_pair[1], bias_reg)
+
+
+def hp_total(f, u, reg):
+    """Sum of layer HP values."""
+    assert len(f) == len(u)
+    return sum(hp_value_pair(fp, up, reg) for fp, up in zip(f.blocks, u.blocks))
+
+
+def satisfies_aug_inequality(f, w, u, reg, eps):
+    """Relaxed acceptance: augmented HP at w >= plain HP at u (with slack)."""
+    return aug_hp_value(f, w, u, reg, eps) >= hp_value(f, u, reg) - ACCEPT_SLACK

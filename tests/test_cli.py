@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from pmptrain import metrics
 from pmptrain.cli import main, parse_config
 from pmptrain.errors import ConfigError
-from pmptrain.runlog import read_log
+from pmptrain.runlog import load_params, read_log
 
 BLOB_CONFIG = """\
 # two separated clusters, tiny net
@@ -181,6 +182,28 @@ def test_train_then_eval_round_trip(tmp_path, capsys):
     assert "train accuracy:" in out
     assert "test accuracy:" in out
     assert "confusion" in out
+
+
+def test_eval_forwards_each_split_once(tmp_path, capsys, monkeypatch):
+    cfg = write_blob_config(tmp_path)
+    assert main(["train", str(cfg)]) == 0
+    capsys.readouterr()
+    snap = tmp_path / "run_out" / "params.bin"
+    setup = parse_config(cfg)
+    want = metrics.accuracy(setup.model, load_params(snap), setup.test_set)
+    rows = []
+    real = metrics.forward_logits
+
+    def counting(model, params, inputs, chunk=None):
+        rows.append(inputs.shape[0])
+        return real(model, params, inputs, chunk)
+
+    monkeypatch.setattr(metrics, "forward_logits", counting)
+    assert main(["eval", str(cfg), str(snap)]) == 0
+    # 30 training and 10 test images: one forward each, the test split
+    # giving both its accuracy and the confusion matrix
+    assert sorted(rows) == [10, 30]
+    assert f"test accuracy: {want:.2f}%" in capsys.readouterr().out
 
 
 def test_eval_rejects_mismatched_snapshot(tmp_path, capsys):

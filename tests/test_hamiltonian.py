@@ -9,12 +9,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from oracles import hp_total, hp_value_pair, satisfies_aug_inequality
 
 from pmptrain.errors import InputError
-from pmptrain.hamiltonian import (aug_hp_value, aug_hp_value_pair,
-                                  hamiltonian_gap, hp_value, hp_value_pair,
-                                  hp_total, layer_update, layer_update_pair,
-                                  satisfies_aug_inequality, update_params)
+from pmptrain.hamiltonian import (aug_hp_value, hamiltonian_gap, hp_value,
+                                  layer_update, layer_update_pair,
+                                  update_params)
 from pmptrain.network import (ParamSet, backward_sweep, build_model,
                               forward_sweep, hamiltonian_gradient,
                               param_shapes, terminal_loss)
