@@ -1,4 +1,4 @@
-"""Dataset ingestion (IDX files), normalization, synthetic data, weighting.
+"""Dataset ingestion (IDX files), synthetic data, class weighting.
 
 IDX is the big-endian binary layout used by the classic handwritten-digit
 files: magic 0x00000803 for uint8 image tensors of rank 3, 0x00000801 for
@@ -9,7 +9,7 @@ save after a plain load reproduces the original bytes exactly.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,14 +108,6 @@ def save_idx(dataset: Dataset, image_path, label_path):
         fh.write(dataset.class_indices.astype(np.uint8).tobytes())
 
 
-def normalize(dataset: Dataset, mean: float, std: float) -> Dataset:
-    """Per-pixel (x - mean) / std."""
-    std = float(std)
-    if not std > 0.0:
-        raise InputError(f"std must be > 0, got {std}")
-    return replace(dataset, inputs=(dataset.inputs - float(mean)) / std)
-
-
 def synthetic_blobs(seed: int, n_per_class: int, m: int, dim: int,
                     separation: float, split: str = "") -> Dataset:
     """Gaussian clusters with unit scatter at centers `separation` apart.
@@ -159,18 +151,3 @@ def class_weights(dataset: Dataset) -> np.ndarray:
         raise InputError(f"class {missing} has no samples")
     return np.exp(len(dataset) / (dataset.m * counts))
 
-
-def take(dataset: Dataset, indices) -> Dataset:
-    """Subset by explicit indices, preserving order."""
-    indices = np.asarray(indices)
-    return replace(dataset, inputs=dataset.inputs[indices],
-                   labels=dataset.labels[indices])
-
-
-def random_subset(dataset: Dataset, n: int, seed: int) -> Dataset:
-    """Seeded n-sample subset without replacement (protocol selector)."""
-    if not 1 <= n <= len(dataset):
-        raise InputError(f"subset size {n} out of range 1..{len(dataset)}")
-    rng = np.random.default_rng(seed)
-    idx = np.sort(rng.choice(len(dataset), size=n, replace=False))
-    return take(dataset, idx)

@@ -8,9 +8,11 @@ VJPs are single matrix products and live inline in the sweeps.
 Conventions:
   - dtype is float64 everywhere; inputs are validated and rejected if
     non-finite.
-  - the forward maps and pool_vjp accept a single sample or a batch with
-    one extra leading axis (vectors become (N, d), images (C, H, W) become
+  - affine and conv2d accept a single sample or a batch with one extra
+    leading axis (vectors become (N, d), images (C, H, W) become
     (N, C, H, W)); the convolution VJPs take batches only;
+  - pooling takes non-overlapping 2x2 tiles of the last two axes, which
+    must have even sizes; pool and pool_vjp accept any leading axes;
   - gradient outputs that live in parameter space (kernel_grad, bias_grad)
     are SUMMED over the batch axis, matching their use as sums of
     per-sample adjoint products;
@@ -201,70 +203,55 @@ def _conv_input_vjp(kernel: np.ndarray, p: np.ndarray, in_hw: tuple[int, int],
 # pooling
 
 
-def _pool_windows(x: np.ndarray, window: int, stride: int) -> np.ndarray:
-    h, w = x.shape[-2], x.shape[-1]
-    if window < 1 or stride < 1:
-        raise InputError("pool window and stride must be >= 1")
-    if h < window or w < window:
-        raise ShapeError(f"pool window {window} larger than input {h}x{w}")
-    if (h - window) % stride or (w - window) % stride:
-        raise ShapeError(
-            f"pool window {window}/stride {stride} does not tile input {h}x{w}")
-    win = sliding_window_view(x, (window, window), axis=(-2, -1))
-    return win[..., ::stride, ::stride, :, :]
-
-
-def pool(x: np.ndarray, mode: str, window: int, stride: int) -> np.ndarray:
-    """Window means (avg) or maxima (max) over non-overlapping tiles."""
+def _pool_tiles(x: np.ndarray, mode: str) -> list[np.ndarray]:
+    """The four strided views x[..., dy::2, dx::2] of the 2x2 tiles, row-major."""
     if mode not in POOL_MODES:
         raise InputError(f"unknown pool mode {mode!r}")
+    if x.ndim < 2 or x.shape[-2] % 2 or x.shape[-1] % 2:
+        raise ShapeError(
+            f"2x2 pooling needs even height and width, got shape {x.shape}")
+    return [x[..., dy::2, dx::2] for dy in (0, 1) for dx in (0, 1)]
+
+
+def pool(x: np.ndarray, mode: str) -> np.ndarray:
+    """Means (avg) or maxima (max) over non-overlapping 2x2 tiles."""
     x = np.asarray(x, dtype=np.float64)
-    win = _pool_windows(x, window, stride)
+    a, b, c, d = _pool_tiles(x, mode)
     if mode == "avg":
-        out = win.mean(axis=(-2, -1))
-    else:
-        out = win.max(axis=(-2, -1))
-    return np.ascontiguousarray(out)
+        # numpy's mean over (2, 2) windows adds each tile row first when the
+        # input is at least 4 wide; this grouping reproduces it bit for bit,
+        # while ((a + b) + c) + d and (a + c) + (b + d) can differ in the last bit
+        return ((a + b) + (c + d)) / 4.0
+    return np.maximum(np.maximum(a, b), np.maximum(c, d))
 
 
-def pool_vjp(x: np.ndarray, p: np.ndarray, mode: str, window: int,
-             stride: int) -> np.ndarray:
+def pool_vjp(x: np.ndarray, p: np.ndarray, mode: str) -> np.ndarray:
     """VJP of <p, pool(x)>.
 
-    avg spreads p / window^2 over each tile; max routes p to the first
-    row-major argmax of each tile.
+    avg spreads p / 4 over each tile; max routes p to the first row-major
+    maximum of each tile. Either way p is added into zeros, so a -0.0
+    adjoint lands as +0.0.
     """
-    if mode not in POOL_MODES:
-        raise InputError(f"unknown pool mode {mode!r}")
     x = np.asarray(x, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
-    xb, batched = _batched(x, 3)
-    pb, pbatched = _batched(p, 3)
-    if batched != pbatched:
-        raise ShapeError("pool_vjp: x and p must share the batch axis")
-    win = _pool_windows(xb, window, stride)
-    if pb.shape != win.shape[:4]:
+    tiles = _pool_tiles(x, mode)
+    if p.shape != tiles[0].shape:
         raise ShapeError(
-            f"adjoint shape {pb.shape} does not match pooled shape {win.shape[:4]}")
-    xg = np.zeros_like(xb)
-    oh, ow = win.shape[2], win.shape[3]
+            f"adjoint shape {p.shape} does not match pooled shape {tiles[0].shape}")
+    xg = np.zeros(x.shape)
+    grads = _pool_tiles(xg, mode)  # views: adding into them fills xg
     if mode == "avg":
-        spread = pb / float(window * window)
-        for wy in range(window):
-            for wx in range(window):
-                xg[:, :, wy:wy + stride * (oh - 1) + 1:stride,
-                   wx:wx + stride * (ow - 1) + 1:stride] += spread
+        spread = p / 4.0
+        for g in grads:
+            g += spread
     else:
-        flat = win.reshape(win.shape[:4] + (window * window,))
-        idx = flat.argmax(axis=-1)  # first max in row-major window order
-        iy = idx // window + stride * np.arange(oh)[None, None, :, None]
-        ix = idx % window + stride * np.arange(ow)[None, None, None, :]
-        n, c = xb.shape[0], xb.shape[1]
-        ni = np.arange(n)[:, None, None, None]
-        ci = np.arange(c)[None, :, None, None]
-        flat_idx = ((ni * c + ci) * xb.shape[2] + iy) * xb.shape[3] + ix
-        np.add.at(xg.reshape(-1), flat_idx.reshape(-1), pb.reshape(-1))
-    return xg if batched else xg[0]
+        top = pool(x, mode)
+        free = np.ones(p.shape, dtype=bool)
+        for tile, g in zip(tiles, grads):
+            hit = free & (tile == top)
+            free &= ~hit
+            g += p * hit
+    return xg
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,5 @@ def sparsity_pct(params: ParamSet, include_bias: bool = True) -> float:
 def confusion(model: Model, params: ParamSet, dataset: Dataset) -> np.ndarray:
     """m x m counts; rows are true classes, columns predicted classes."""
     pred = predictions(model, params, dataset)
-    true = dataset.class_indices
-    out = np.zeros((dataset.m, dataset.m), dtype=np.int64)
-    np.add.at(out, (true, pred), 1)
-    return out
+    m = dataset.m
+    return np.bincount(dataset.class_indices * m + pred, minlength=m * m).reshape(m, m)

@@ -45,13 +45,6 @@ CONV_ACTS = ("tanh", "relu")
 
 
 @dataclass(frozen=True)
-class PoolSpec:
-    mode: str  # avg | max
-    window: int
-    stride: int
-
-
-@dataclass(frozen=True)
 class LayerSpec:
     """One layer: an affine/conv map, its activation, and optional pooling.
 
@@ -63,7 +56,7 @@ class LayerSpec:
     act: str
     geom: ConvGeometry | None = None  # conv only
     out_width: int | None = None  # fc only
-    pool: PoolSpec | None = None
+    pool: str | None = None  # "avg" | "max": 2x2 tiles, conv only
 
 
 @dataclass(frozen=True)
@@ -162,8 +155,7 @@ class AdjointSet:
 
 
 _INT_KEYS = {"out", "k", "stride", "pad"}
-_POOLS = {"avg2": PoolSpec("avg", 2, 2), "max2": PoolSpec("max", 2, 2),
-          "none": None}
+_POOLS = {"avg2": "avg", "max2": "max", "none": None}
 
 
 def _parse_fields(tokens: list[str], line_no: int) -> dict[str, str]:
@@ -202,7 +194,7 @@ class _RawLayer:
     k: int = 0
     stride: int = 1
     pad: int = 0
-    pool: PoolSpec | None = None
+    pool: str | None = None
 
 
 def _parse_arch(arch_text: str) -> list[_RawLayer]:
@@ -294,14 +286,11 @@ def build_model(arch_text: str, input_shape) -> Model:
         shape = out_shape
         if spec.pool is not None:
             c, h, w = shape
-            ps = spec.pool
-            if h < ps.window or w < ps.window or (h - ps.window) % ps.stride \
-                    or (w - ps.window) % ps.stride:
+            if h % 2 or w % 2:
                 raise ShapeError(
-                    f"layer {idx} (line {raw.line_no}): pool window {ps.window}/"
-                    f"stride {ps.stride} does not tile {h}x{w}")
-            shape = (c, (h - ps.window) // ps.stride + 1,
-                     (w - ps.window) // ps.stride + 1)
+                    f"layer {idx} (line {raw.line_no}): 2x2 pooling needs an "
+                    f"even conv output, got {h}x{w}")
+            shape = (c, h // 2, w // 2)
 
     return Model(layers=tuple(layers), m=layers[-1].out_width,
                  input_shape=input_shape, pre_shapes=tuple(pre_shapes),
@@ -372,7 +361,7 @@ def _apply_f(spec: LayerSpec, state: np.ndarray):
     a = activate(state, spec.act)
     if spec.pool is None:
         return None, a
-    return a, pool(a, spec.pool.mode, spec.pool.window, spec.pool.stride)
+    return a, pool(a, spec.pool)
 
 
 def _affine_layer(spec: LayerSpec, w: np.ndarray, b: np.ndarray,
@@ -498,8 +487,7 @@ def backward_sweep(model: Model, params: ParamSet, traj: Trajectory,
         q = q.reshape((q.shape[0],) + model.fin_shapes[l])
         if prev.pool is not None:
             value = traj.act_full[l]
-            q = pool_vjp(value, q, prev.pool.mode, prev.pool.window,
-                         prev.pool.stride)
+            q = pool_vjp(value, q, prev.pool)
         else:
             value = traj.fin[l].reshape(q.shape)
         padj[l] = _activate_vjp_from_value(value, q, prev.act)

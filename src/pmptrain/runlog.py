@@ -149,16 +149,26 @@ def save_params(params: ParamSet, path):
         fh.write("\n")
 
 
+def _shape(dims) -> tuple[int, ...]:
+    if not isinstance(dims, list) \
+            or not all(isinstance(d, int) and d >= 0 for d in dims):
+        raise TypeError(f"shape {dims!r} is not a list of non-negative integers")
+    return tuple(dims)
+
+
 def load_params(path) -> ParamSet:
     path = os.fspath(path)
-    with open(path + ".json", "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    flat = np.fromfile(path, dtype="<f8").astype(np.float64)
+    try:
+        with open(path + ".json", "r", encoding="utf-8") as fh:
+            sidecar = json.load(fh)
+        shapes = [(_shape(layer["weight"]), _shape(layer["bias"]))
+                  for layer in sidecar["layers"]]
+        flat = np.fromfile(path, dtype="<f8").astype(np.float64)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"{path}: unreadable snapshot ({exc!r})") from None
     blocks = []
     offset = 0
-    for layer in sidecar["layers"]:
-        w_shape = tuple(layer["weight"])
-        b_shape = tuple(layer["bias"])
+    for w_shape, b_shape in shapes:
         w_size = int(np.prod(w_shape))
         b_size = int(np.prod(b_shape))
         if offset + w_size + b_size > flat.size:

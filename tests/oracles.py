@@ -7,6 +7,7 @@ per-block HP values, composed in the order the definitions state.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from pmptrain.hamiltonian import aug_hp_value, hp_value
 from pmptrain.kernels import activate, affine, conv2d, pool
@@ -82,6 +83,27 @@ def toeplitz_matrix(kernel, stride, pad, in_h, in_w):
     return t, (co, oh, ow)
 
 
+def window_mean_pool(x):
+    """2x2 average pooling as the mean over strided (2, 2) sliding windows."""
+    win = sliding_window_view(x, (2, 2), axis=(-2, -1))[..., ::2, ::2, :, :]
+    return win.mean(axis=(-2, -1))
+
+
+def argmax_route_pool(x, p):
+    """(max pooling of x, VJP of <p, max pooling>) by first-argmax routing.
+
+    Each 2x2 tile becomes a row-major length-4 axis; argmax picks the first
+    maximum, and a one-hot mask routes p there, added into zeros.
+    """
+    *lead, h, w = x.shape
+    tiles = x.reshape(*lead, h // 2, 2, w // 2, 2).swapaxes(-3, -2)
+    tiles = tiles.reshape(*lead, h // 2, w // 2, 4)
+    hot = np.arange(4) == tiles.argmax(axis=-1)[..., None]
+    routed = np.where(hot, p[..., None], 0.0)
+    routed = routed.reshape(*lead, h // 2, w // 2, 2, 2).swapaxes(-3, -2)
+    return tiles.max(axis=-1), np.zeros(x.shape) + routed.reshape(x.shape)
+
+
 LENET_ARCH = """\
 # classic 5-layer layout for 28x28 grayscale digits
 conv out=6 k=5 stride=1 pad=2 act=tanh pool=avg2
@@ -146,7 +168,7 @@ def standard_forward(model, params, inputs):
             h = affine(w, b, h.reshape(h.shape[0], -1))
         h = activate(h, spec.act)
         if spec.pool is not None:
-            h = pool(h, spec.pool.mode, spec.pool.window, spec.pool.stride)
+            h = pool(h, spec.pool)
     return h
 
 

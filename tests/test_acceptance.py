@@ -14,6 +14,7 @@ alpha = 0.8, eps0 = 1, eta = 1e-9, with sqh (mu = 7, zeta = 0.01) or ma
   below were calibrated on this corpus and hold with wide margin.
 """
 
+import dataclasses
 import itertools
 import os
 import time
@@ -23,7 +24,7 @@ import pytest
 from oracles import hp_total
 
 from pmptrain.cli import _prox_gap, main
-from pmptrain.data import load_idx, random_subset
+from pmptrain.data import load_idx
 from pmptrain.digits import synthetic_digits
 from pmptrain.errors import PmpTrainError
 from pmptrain.hamiltonian import hamiltonian_gap
@@ -119,7 +120,11 @@ def mnist_sets():
     test = load_idx(os.path.join(MNIST_DIR, "t10k-images-idx3-ubyte"),
                     os.path.join(MNIST_DIR, "t10k-labels-idx1-ubyte"),
                     m=10, split="test")
-    return random_subset(full, 2000, seed=4242), test
+    # seeded 2,000-image subset without replacement, in index order
+    idx = np.sort(np.random.default_rng(4242).choice(len(full), size=2000,
+                                                     replace=False))
+    return dataclasses.replace(full, inputs=full.inputs[idx],
+                               labels=full.labels[idx]), test
 
 
 @pytest.fixture(scope="module")

@@ -216,6 +216,9 @@ def test_eval_rejects_mismatched_snapshot(tmp_path, capsys):
     snap = tmp_path / "run_out" / "params.bin"
     assert main(["eval", str(other), str(snap)]) == 1
     assert "error:" in capsys.readouterr().err
+    (tmp_path / "run_out" / "params.bin.json").write_text("{}", encoding="utf-8")
+    assert main(["eval", str(cfg), str(snap)]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_train_is_deterministic_across_runs(tmp_path, capsys):

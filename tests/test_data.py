@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from pmptrain.data import (Dataset, IMAGE_MAGIC, LABEL_MAGIC, class_weights,
-                           load_idx, normalize, random_subset, save_idx,
-                           synthetic_blobs, take)
+                           load_idx, save_idx, synthetic_blobs)
 from pmptrain.digits import synthetic_digits
 from pmptrain.errors import (IdxCountMismatchError, IdxFormatError,
                              IdxTruncationError, InputError)
@@ -125,36 +124,6 @@ def test_dataset_rejects_soft_labels():
 def test_dataset_rejects_count_mismatch():
     with pytest.raises(InputError):
         Dataset(inputs=np.zeros((3, 2)), labels=np.eye(2), m=2)
-
-
-def test_normalize():
-    data = Dataset(inputs=np.array([[2.0, 4.0]]),
-                   labels=np.array([[1.0, 0.0]]), m=2)
-    out = normalize(data, mean=2.0, std=2.0)
-    assert np.array_equal(out.inputs, [[0.0, 1.0]])
-    assert np.array_equal(out.labels, data.labels)
-    with pytest.raises(InputError):
-        normalize(data, mean=0.0, std=0.0)
-
-
-def test_take_preserves_order():
-    data = synthetic_blobs(seed=0, n_per_class=5, m=2, dim=3, separation=1.0)
-    sub = take(data, [4, 1, 7])
-    assert np.array_equal(sub.inputs[0], data.inputs[4])
-    assert np.array_equal(sub.labels[2], data.labels[7])
-    assert sub.m == 2
-
-
-def test_random_subset_is_seeded_and_bounded():
-    data = synthetic_blobs(seed=0, n_per_class=50, m=3, dim=2, separation=2.0)
-    a = random_subset(data, 20, seed=5)
-    b = random_subset(data, 20, seed=5)
-    assert np.array_equal(a.inputs, b.inputs)
-    assert len(a) == 20
-    with pytest.raises(InputError):
-        random_subset(data, 0, seed=1)
-    with pytest.raises(InputError):
-        random_subset(data, len(data) + 1, seed=1)
 
 
 # --------------------------------------------------------- synthetic data

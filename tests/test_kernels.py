@@ -9,7 +9,8 @@ stack. Oracles used here are independent of the implementation:
 
 import numpy as np
 import pytest
-from oracles import fd_grad, rel_err, toeplitz_matrix
+from oracles import (argmax_route_pool, fd_grad, rel_err, toeplitz_matrix,
+                     window_mean_pool)
 
 from pmptrain.errors import InputError, ShapeError
 from pmptrain.kernels import (ConvGeometry, _activate_vjp_from_value,
@@ -192,29 +193,29 @@ class TestConv2d:
 class TestPool:
     def test_avg_direct(self):
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        out = pool(x, "avg", 2, 2)
+        out = pool(x, "avg")
         np.testing.assert_array_equal(out, [[[2.5]]])
-        vjp = pool_vjp(x, np.array([[[1.0]]]), "avg", 2, 2)
+        vjp = pool_vjp(x, np.array([[[1.0]]]), "avg")
         np.testing.assert_array_equal(vjp, [[[0.25, 0.25], [0.25, 0.25]]])
 
     def test_max_direct(self):
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        out = pool(x, "max", 2, 2)
+        out = pool(x, "max")
         np.testing.assert_array_equal(out, [[[4.0]]])
-        vjp = pool_vjp(x, np.array([[[1.0]]]), "max", 2, 2)
+        vjp = pool_vjp(x, np.array([[[1.0]]]), "max")
         np.testing.assert_array_equal(vjp, [[[0.0, 0.0], [0.0, 1.0]]])
 
     def test_max_tie_routes_to_first_position(self):
         x = np.ones((1, 2, 2))
-        vjp = pool_vjp(x, np.array([[[1.0]]]), "max", 2, 2)
+        vjp = pool_vjp(x, np.array([[[1.0]]]), "max")
         np.testing.assert_array_equal(vjp, [[[1.0, 0.0], [0.0, 0.0]]])
 
     def test_avg_vjp_matches_finite_differences(self):
         rng = np.random.default_rng(40)
         x = rng.normal(size=(2, 6, 6))
         p = rng.normal(size=(2, 3, 3))
-        got = pool_vjp(x, p, "avg", 2, 2)
-        want = fd_grad(lambda v: pool(v, "avg", 2, 2), x, p)
+        got = pool_vjp(x, p, "avg")
+        want = fd_grad(lambda v: pool(v, "avg"), x, p)
         assert rel_err(got, want) <= 1e-8
 
     def test_max_vjp_matches_finite_differences_off_ties(self):
@@ -222,29 +223,45 @@ class TestPool:
         rng = np.random.default_rng(41)
         x = rng.permutation(36).astype(np.float64).reshape(1, 6, 6)
         p = rng.normal(size=(1, 3, 3))
-        got = pool_vjp(x, p, "max", 2, 2)
-        want = fd_grad(lambda v: pool(v, "max", 2, 2), x, p, h=1e-4)
+        got = pool_vjp(x, p, "max")
+        want = fd_grad(lambda v: pool(v, "max"), x, p, h=1e-4)
         assert rel_err(got, want) <= 1e-8
 
     def test_batch_matches_per_sample(self):
         rng = np.random.default_rng(42)
         x = rng.normal(size=(3, 2, 4, 4))
         for mode in ("avg", "max"):
-            out = pool(x, mode, 2, 2)
+            out = pool(x, mode)
             p = rng.normal(size=out.shape)
-            vjp = pool_vjp(x, p, mode, 2, 2)
+            vjp = pool_vjp(x, p, mode)
             for i in range(3):
-                np.testing.assert_array_equal(out[i], pool(x[i], mode, 2, 2))
+                np.testing.assert_array_equal(out[i], pool(x[i], mode))
                 np.testing.assert_array_equal(vjp[i],
-                                              pool_vjp(x[i], p[i], mode, 2, 2))
+                                              pool_vjp(x[i], p[i], mode))
+
+    @pytest.mark.parametrize("shape", [(3, 2, 8, 6), (2, 8, 6)])
+    @pytest.mark.parametrize("kind", ["tanh", "relu"])
+    def test_bitwise_equal_to_window_references(self, shape, kind):
+        # relu data has all-zero tiles (ties) and p has -0.0 entries
+        rng = np.random.default_rng(43)
+        z = rng.normal(size=shape)
+        x = np.tanh(z) if kind == "tanh" else np.maximum(z - 0.5, 0.0)
+        p = rng.normal(size=shape[:-2] + (shape[-2] // 2, shape[-1] // 2))
+        p[rng.random(p.shape) < 0.3] = -0.0
+        want_max, want_max_vjp = argmax_route_pool(x, p)
+        want_avg_vjp = np.zeros(shape) + np.repeat(np.repeat(p / 4.0, 2, -2), 2, -1)
+        for got, want in ((pool(x, "avg"), window_mean_pool(x)),
+                          (pool(x, "max"), want_max),
+                          (pool_vjp(x, p, "avg"), want_avg_vjp),
+                          (pool_vjp(x, p, "max"), want_max_vjp)):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
     def test_window_errors(self):
         with pytest.raises(ShapeError):
-            pool(np.ones((1, 2, 2)), "avg", 3, 1)
-        with pytest.raises(ShapeError):
-            pool(np.ones((1, 5, 5)), "avg", 2, 2)
+            pool(np.ones((1, 5, 5)), "avg")
         with pytest.raises(InputError):
-            pool(np.ones((1, 2, 2)), "median", 2, 2)
+            pool(np.ones((1, 2, 2)), "median")
 
 
 class TestActivate:
@@ -299,5 +316,5 @@ class TestDeterminism:
         c = rng.normal(size=5)
         v = rng.normal(size=(3, 8))
         np.testing.assert_array_equal(affine(w, c, v), affine(w, c, v))
-        np.testing.assert_array_equal(pool(x, "max", 2, 2), pool(x, "max", 2, 2))
+        np.testing.assert_array_equal(pool(x, "max"), pool(x, "max"))
         np.testing.assert_array_equal(activate(x, "tanh"), activate(x, "tanh"))

@@ -67,6 +67,11 @@ class TestBuildModel:
         with pytest.raises(ShapeError):
             build_model(text, 784)
 
+    def test_odd_pooled_conv_output_names_layer_and_line(self):
+        text = "\nconv out=2 k=3 stride=1 pad=1 act=tanh pool=avg2\nfc out=2 act=identity"
+        with pytest.raises(ShapeError, match=r"layer 0 \(line 2\).*5x5"):
+            build_model(text, (1, 5, 5))
+
     def test_parse_error_carries_line_number(self):
         text = "fc out=10 act=tanh\nfc out=abc act=identity"
         with pytest.raises(ParseError) as err:

@@ -5,7 +5,7 @@ import pytest
 
 from pmptrain.data import synthetic_blobs
 from pmptrain.errors import InputError
-from pmptrain.network import build_model, init_params
+from pmptrain.network import ParamSet, build_model, init_params
 from pmptrain.regularization import Regularizer
 from pmptrain.runlog import (CSV_COLUMNS, CsvLogger, RunSummary, load_params,
                              read_log, record_to_row, save_params, summarize,
@@ -162,4 +162,19 @@ def test_snapshot_rejects_wrong_length(tmp_path):
     with open(path, "ab") as fh:
         fh.write(b"\x00" * 8)
     with pytest.raises(InputError):
+        load_params(path)
+
+
+@pytest.mark.parametrize("sidecar", [
+    '{"shapes": []}',
+    '{"layers": [{"weight": 15, "bias": [3]}]}',
+    '{"layers": [{"weight": [3, 5]}]}',
+    None,
+], ids=["no-layers", "shape-not-list", "no-bias", "no-sidecar"])
+def test_load_params_rejects_broken_sidecar(tmp_path, sidecar):
+    path = tmp_path / "u.bin"
+    save_params(ParamSet([(np.zeros((3, 5)), np.zeros(3))]), path)
+    side = tmp_path / "u.bin.json"
+    side.unlink() if sidecar is None else side.write_text(sidecar, encoding="utf-8")
+    with pytest.raises(InputError, match="u.bin"):
         load_params(path)
