@@ -11,11 +11,9 @@ gradient-noise energy at the accepted step size.
 import numpy as np
 
 from pmptrain.data import synthetic_blobs
-from pmptrain.hamiltonian import hamiltonian_gap
-from pmptrain.network import (backward_sweep, build_model, forward_sweep,
-                              hamiltonian_gradient, terminal_loss)
+from pmptrain.network import build_model
 from pmptrain.regularization import Regularizer
-from pmptrain.trainer import TrainConfig, train
+from pmptrain.trainer import TrainConfig, diagnostics, train
 
 ARCH = "fc out=16 act=tanh\nfc out=4 act=identity"
 data = synthetic_blobs(seed=7, n_per_class=32, m=4, dim=8, separation=2.0)
@@ -29,16 +27,10 @@ def tail_gaps(m_batch, seed):
                          strategy="ma", zeta=1.0, reg=reg,
                          keep_iterates=True)
     _, log = train(config, model, data)
-    gaps = []
-    for t in range(K - TAIL, K):
-        u_prev, u_next = log.iterates[t], log.iterates[t + 1]
-        traj = forward_sweep(model, u_prev, data.inputs)
-        _, tg = terminal_loss(traj.outputs, data.labels)
-        adj = backward_sweep(model, u_prev, traj, tg, batch_m=len(data))
-        f = hamiltonian_gradient(model, u_prev, traj, adj)
-        gaps.append(hamiltonian_gap(f, u_next, u_prev, reg,
-                                    log.records[t].epsilon))
-    return gaps
+    # Delta_h of step t: the full-batch gap of u^(t+1), the newest iterate
+    return [diagnostics(model, log.iterates[:t + 2], data, reg,
+                        log.records[t].epsilon)[0]
+            for t in range(K - TAIL, K)]
 
 
 print(f"dataset: {len(data)} samples; gap averaged over last {TAIL} of "

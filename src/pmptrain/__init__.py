@@ -31,7 +31,7 @@ from .network import (HamiltonianGradient, Model, ParamSet, backward_sweep,
                       terminal_loss)
 from .regularization import Regularizer
 from .runlog import load_params, read_log, save_params, summarize, write_log
-from .trainer import RunLog, TrainConfig, diagnostics, train
+from .trainer import RunLog, TrainConfig, diagnostics, sweeps, train
 
 __all__ = [
     "ConfigError", "ConvGeometry", "Dataset", "HamiltonianGradient",
@@ -43,6 +43,6 @@ __all__ = [
     "batch_objective", "build_model", "confusion", "diagnostics",
     "forward_logits", "forward_sweep", "hamiltonian_gradient", "init_params",
     "load_idx", "load_params", "read_log", "save_idx", "save_params",
-    "sparsity_pct", "summarize", "synthetic_blobs", "synthetic_digits",
-    "terminal_loss", "train", "write_log",
+    "sparsity_pct", "summarize", "sweeps", "synthetic_blobs",
+    "synthetic_digits", "terminal_loss", "train", "write_log",
 ]

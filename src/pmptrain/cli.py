@@ -27,12 +27,11 @@ from .digits import synthetic_digits
 from .errors import ConfigError, PmpTrainError
 from .hamiltonian import layer_update
 from .metrics import accuracy, confusion, sparsity_pct
-from .network import (Model, backward_sweep, build_model, forward_logits,
-                      forward_sweep, hamiltonian_gradient, init_params,
-                      param_shapes, terminal_loss)
+from .network import (Model, batch_objective, build_model, init_params,
+                      param_shapes)
 from .regularization import REG_KINDS, Regularizer
 from .runlog import CsvLogger, load_params, save_params, summarize
-from .trainer import TrainConfig, train
+from .trainer import TrainConfig, sweeps, train
 
 LOG = logging.getLogger("pmptrain")
 
@@ -307,15 +306,10 @@ def cmd_gradcheck(args) -> int:
     xs = setup.train_set.inputs[:n]
     ys = setup.train_set.labels[:n]
     params = init_params(setup.model, setup.config.seed)
-
-    traj = forward_sweep(setup.model, params, xs)
-    _, tg = terminal_loss(traj.outputs, ys)
-    adj = backward_sweep(setup.model, params, traj, tg, batch_m=n)
-    f = hamiltonian_gradient(setup.model, params, traj, adj)
+    _, f = sweeps(setup.model, params, xs, ys, Regularizer())
 
     def mean_loss() -> float:
-        logits = forward_logits(setup.model, params, xs)
-        return terminal_loss(logits, ys)[0]
+        return batch_objective(setup.model, params, xs, ys, Regularizer())
 
     rng = np.random.default_rng(setup.config.seed + 1)
     h = args.h

@@ -225,19 +225,21 @@ def pool(x: np.ndarray, mode: str) -> np.ndarray:
     return np.maximum(np.maximum(a, b), np.maximum(c, d))
 
 
-def pool_vjp(x: np.ndarray, p: np.ndarray, mode: str) -> np.ndarray:
-    """VJP of <p, pool(x)>.
+def pool_vjp(x: np.ndarray, p: np.ndarray, mode: str,
+             top: np.ndarray) -> np.ndarray:
+    """VJP of <p, pool(x)>, where top = pool(x, mode) from the forward pass.
 
     avg spreads p / 4 over each tile; max routes p to the first row-major
-    maximum of each tile. Either way p is added into zeros, so a -0.0
+    tile entry equal to top. Either way p is added into zeros, so a -0.0
     adjoint lands as +0.0.
     """
     x = np.asarray(x, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
     tiles = _pool_tiles(x, mode)
-    if p.shape != tiles[0].shape:
+    if p.shape != tiles[0].shape or np.shape(top) != p.shape:
         raise ShapeError(
-            f"adjoint shape {p.shape} does not match pooled shape {tiles[0].shape}")
+            f"adjoint {p.shape} and pooled values {np.shape(top)} must both "
+            f"have the pooled shape {tiles[0].shape}")
     xg = np.zeros(x.shape)
     grads = _pool_tiles(xg, mode)  # views: adding into them fills xg
     if mode == "avg":
@@ -245,7 +247,6 @@ def pool_vjp(x: np.ndarray, p: np.ndarray, mode: str) -> np.ndarray:
         for g in grads:
             g += spread
     else:
-        top = pool(x, mode)
         free = np.ones(p.shape, dtype=bool)
         for tile, g in zip(tiles, grads):
             hit = free & (tile == top)

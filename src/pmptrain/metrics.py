@@ -8,12 +8,10 @@ from .data import Dataset
 from .network import Model, ParamSet, forward_logits
 from .regularization import l0_count
 
-EVAL_CHUNK = 2048  # caps conv-window transients when scoring big splits
-
 
 def predictions(model: Model, params: ParamSet, dataset: Dataset) -> np.ndarray:
     """Predicted class indices; argmax ties break to the lowest index."""
-    logits = forward_logits(model, params, dataset.inputs, chunk=EVAL_CHUNK)
+    logits = forward_logits(model, params, dataset.inputs)
     return np.argmax(logits, axis=1)
 
 

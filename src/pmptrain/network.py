@@ -13,9 +13,10 @@ inside the terminal loss) the final state xt_L equals the output of the
 usual activation-after-affine composition.
 
 One forward loop serves both the forward sweep and the output-only
-evaluation. The sweep caches what the backward sweep reads: each layer's
-affine input f_{l-1}(xt_l), the pre-pooling activation where a layer
-pools, and the output xt_L. The inner states themselves are not kept,
+evaluation, which runs in chunks of FORWARD_CHUNK samples. The sweep
+caches what the backward sweep reads: each layer's affine input
+f_{l-1}(xt_l), the pre-pooling activation where a layer pools, and the
+output xt_L. The inner states themselves are not kept,
 because every activation derivative is read from the activation value.
 
 The backward sweep propagates adjoints p_l by the transposed Jacobians of
@@ -42,6 +43,9 @@ from .regularization import Regularizer, reg_value
 
 FC_ACTS = ("tanh", "relu", "identity")
 CONV_ACTS = ("tanh", "relu")
+# samples per output-only forward: bounds the conv-window copies of a big
+# evaluation set, while a 600-image batch or a 1,000-image split stays whole
+FORWARD_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,6 @@ class LayerSpec:
 class Model:
     """Validated architecture: layers, class count, and per-layer shapes.
 
-    pre_shapes[l] is the per-sample shape of state xt_l (l = 0..L);
     fin_shapes[l] is the per-sample shape of f_{l-1}(xt_l), the input of
     affine map l, before any flattening for fully-connected layers.
     """
@@ -71,7 +74,6 @@ class Model:
     layers: tuple[LayerSpec, ...]
     m: int
     input_shape: tuple[int, ...]
-    pre_shapes: tuple[tuple[int, ...], ...] = field(repr=False)
     fin_shapes: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @property
@@ -91,17 +93,6 @@ class ParamSet:
     def copy(self) -> "ParamSet":
         return ParamSet([(w.copy(), b.copy()) for w, b in self.blocks])
 
-    def sq_norm(self) -> float:
-        """Sum over all layers of ||u_l||^2 (a squared quantity)."""
-        total = 0.0
-        for w, b in self.blocks:
-            total += float(np.dot(w.ravel(), w.ravel()))
-            total += float(np.dot(b.ravel(), b.ravel()))
-        return total
-
-    def num_params(self) -> int:
-        return sum(w.size + b.size for w, b in self.blocks)
-
     def __len__(self) -> int:
         return len(self.blocks)
 
@@ -110,10 +101,8 @@ class ParamSet:
 HamiltonianGradient = ParamSet
 
 
-def triple_norm_sq(a: ParamSet, b: ParamSet | None = None) -> float:
+def triple_norm_sq(a: ParamSet, b: ParamSet) -> float:
     """|||a - b||| = sum_l ||a_l - b_l||^2 over all layers (squared)."""
-    if b is None:
-        return a.sq_norm()
     if len(a) != len(b):
         raise ShapeError("parameter sets have different layer counts")
     total = 0.0
@@ -137,17 +126,6 @@ class Trajectory:
     fin: list[np.ndarray]
     act_full: list[np.ndarray | None]
     outputs: np.ndarray
-
-
-@dataclass
-class AdjointSet:
-    """Adjoints p_1..p_L of a backward sweep; padj[l] pairs state xt_l.
-
-    padj[0] is None: the input is data, not a state the principle varies.
-    """
-
-    padj: list[np.ndarray | None]
-    batch_m: int  # the M that seeded p_L
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +237,6 @@ def build_model(arch_text: str, input_shape) -> Model:
         raise ParseError(last.line_no, "output width (class count) must be >= 2")
 
     layers: list[LayerSpec] = []
-    pre_shapes: list[tuple[int, ...]] = [input_shape]
     fin_shapes: list[tuple[int, ...]] = []
     shape = input_shape  # per-sample shape of f_{l-1}(xt_l)
     for idx, raw in enumerate(parsed):
@@ -281,7 +258,6 @@ def build_model(arch_text: str, input_shape) -> Model:
             spec = LayerSpec(kind="fc", act=raw.act, out_width=raw.out)
             out_shape = (raw.out,)
         layers.append(spec)
-        pre_shapes.append(out_shape)
         # shape seen by the NEXT layer: this layer's activation+pooling
         shape = out_shape
         if spec.pool is not None:
@@ -293,22 +269,11 @@ def build_model(arch_text: str, input_shape) -> Model:
             shape = (c, h // 2, w // 2)
 
     return Model(layers=tuple(layers), m=layers[-1].out_width,
-                 input_shape=input_shape, pre_shapes=tuple(pre_shapes),
-                 fin_shapes=tuple(fin_shapes))
+                 input_shape=input_shape, fin_shapes=tuple(fin_shapes))
 
 
 # ---------------------------------------------------------------------------
 # parameters
-
-
-def _fans(model: Model, l: int) -> tuple[int, int]:
-    spec = model.layers[l]
-    if spec.kind == "conv":
-        g = spec.geom
-        return g.in_channels * g.kernel_h * g.kernel_w, \
-            g.out_channels * g.kernel_h * g.kernel_w
-    n_in = int(np.prod(model.fin_shapes[l]))
-    return n_in, spec.out_width
 
 
 def param_shapes(model: Model) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -329,8 +294,10 @@ def init_params(model: Model, seed: int) -> ParamSet:
     """Xavier-normal weights, Normal(0, 2/(fan_in+fan_out)); biases exactly 0."""
     rng = np.random.default_rng(seed)
     blocks = []
-    for l, (w_shape, b_shape) in enumerate(param_shapes(model)):
-        fan_in, fan_out = _fans(model, l)
+    for w_shape, b_shape in param_shapes(model):
+        # (out, in) or (out, in, kh, kw): a kernel tap counts toward both fans
+        fan_in = math.prod(w_shape[1:])
+        fan_out = w_shape[0] * math.prod(w_shape[2:])
         std = math.sqrt(2.0 / (fan_in + fan_out))
         blocks.append((rng.normal(0.0, std, size=w_shape),
                        np.zeros(b_shape)))
@@ -407,19 +374,20 @@ def forward_sweep(model: Model, params: ParamSet, inputs: np.ndarray) -> Traject
     return _forward(model, params, inputs, keep=True)
 
 
-def forward_logits(model: Model, params: ParamSet, inputs: np.ndarray,
-                   chunk: int | None = None) -> np.ndarray:
-    """Network output only, optionally evaluated in batch chunks.
+def forward_logits(model: Model, params: ParamSet,
+                   inputs: np.ndarray) -> np.ndarray:
+    """Network output only, evaluated FORWARD_CHUNK samples at a time.
 
-    Chunking caps the transient memory of the convolution windows; use a
-    single call path when comparing objective values, because summation
-    order inside the matrix products may differ between chunk sizes.
+    Chunking caps the transient memory of the convolution windows. Every
+    output-only evaluation takes this one path, so objective values that
+    are compared bit for bit are summed in the same order.
     """
-    if chunk is None or inputs.shape[0] <= chunk:
+    n = inputs.shape[0]
+    if n <= FORWARD_CHUNK:
         return _forward(model, params, inputs, keep=False).outputs
     return np.concatenate(
-        [_forward(model, params, inputs[i:i + chunk], keep=False).outputs
-         for i in range(0, inputs.shape[0], chunk)], axis=0)
+        [_forward(model, params, inputs[i:i + FORWARD_CHUNK], keep=False).outputs
+         for i in range(0, n, FORWARD_CHUNK)], axis=0)
 
 
 def terminal_loss(logits: np.ndarray, labels: np.ndarray,
@@ -459,8 +427,12 @@ def terminal_loss(logits: np.ndarray, labels: np.ndarray,
 
 
 def backward_sweep(model: Model, params: ParamSet, traj: Trajectory,
-                   terminal_grads: np.ndarray, batch_m: int) -> AdjointSet:
-    """Propagate adjoints down to p_1, seeded with -(1/M) terminal gradients."""
+                   terminal_grads: np.ndarray) -> list[np.ndarray | None]:
+    """Propagate adjoints down to p_1, seeded with -(1/M) terminal gradients.
+
+    M is the batch's row count. padj[l] pairs state xt_l; padj[0] is None,
+    because the input is data, not a state the principle varies.
+    """
     _check_params(model, params)
     terminal_grads = np.asarray(terminal_grads, dtype=np.float64)
     if len(traj.fin) != model.depth:
@@ -469,12 +441,12 @@ def backward_sweep(model: Model, params: ParamSet, traj: Trajectory,
         raise InputError(
             f"terminal gradients {terminal_grads.shape} do not match the "
             f"final state {traj.outputs.shape}")
-    if batch_m < 1:
-        raise InputError(f"batch size M must be >= 1, got {batch_m}")
+    if terminal_grads.shape[0] == 0:
+        raise InputError("cannot sweep an empty batch")
 
     depth = model.depth
     padj: list[np.ndarray | None] = [None] * (depth + 1)
-    padj[depth] = -(1.0 / batch_m) * terminal_grads
+    padj[depth] = -(1.0 / terminal_grads.shape[0]) * terminal_grads
     for l in range(depth - 1, 0, -1):
         spec = model.layers[l]
         w, _ = params.blocks[l]
@@ -485,28 +457,29 @@ def backward_sweep(model: Model, params: ParamSet, traj: Trajectory,
             q = p_next @ w
         prev = model.layers[l - 1]
         q = q.reshape((q.shape[0],) + model.fin_shapes[l])
+        fin = traj.fin[l].reshape(q.shape)
         if prev.pool is not None:
             value = traj.act_full[l]
-            q = pool_vjp(value, q, prev.pool)
+            q = pool_vjp(value, q, prev.pool, fin)
         else:
-            value = traj.fin[l].reshape(q.shape)
+            value = fin
         padj[l] = _activate_vjp_from_value(value, q, prev.act)
-    return AdjointSet(padj=padj, batch_m=batch_m)
+    return padj
 
 
 def hamiltonian_gradient(model: Model, params: ParamSet, traj: Trajectory,
-                         adjoints: AdjointSet) -> HamiltonianGradient:
+                         padj: list[np.ndarray | None]) -> HamiltonianGradient:
     """Per-layer F_l: batch-summed parameter gradients of <p_{l+1}, affine_l>.
 
     With the -(1/M) adjoint seeding, F_l equals the negative gradient of
     the mean unregularized loss with respect to u_l.
     """
     _check_params(model, params)
-    if len(adjoints.padj) != model.depth + 1:
+    if len(padj) != model.depth + 1:
         raise InputError("adjoint set depth does not match the model")
     blocks = []
     for l, spec in enumerate(model.layers):
-        p = adjoints.padj[l + 1]
+        p = padj[l + 1]
         fin = traj.fin[l]
         if p is None or p.shape[0] != fin.shape[0]:
             raise InputError(f"layer {l}: adjoints do not match the trajectory")

@@ -1,7 +1,7 @@
 """The training loop: successive augmented-Hamiltonian maximization.
 
 Each iteration: draw a mini-batch, run the forward and backward sweeps,
-assemble the Hamiltonian gradient F, then maximize the augmented HP layer
+assemble the Hamiltonian gradient F (all three in `sweeps`), then maximize the augmented HP layer
 by layer in closed form. The augmentation weight eps acts as an inverse
 step size: starting from the strategy's proposal eps_hat_k, eps is
 escalated by factors of mu (eps_k = mu^j * eps_hat_k) until the sufficient
@@ -40,6 +40,7 @@ from .regularization import Regularizer
 
 STRATEGIES = ("sqh", "ma")
 EPS_MIN = 1e-8
+J_MAX = 60  # escalations of one line search before LineSearchError
 DIAG_INCREMENTS = 6  # trailing parameter-change terms in the Delta-u sum
 
 
@@ -58,7 +59,6 @@ class TrainConfig:
     omega: int = 5
     reg: Regularizer = field(default_factory=Regularizer)
     eval_every: int = 0
-    j_max: int = 60
     use_class_weights: bool = False
     keep_iterates: bool = False
 
@@ -77,8 +77,6 @@ class TrainConfig:
             raise InputError(f"omega must be >= 1, got {self.omega}")
         if self.k_max < 1:
             raise InputError(f"k_max must be >= 1, got {self.k_max}")
-        if self.j_max < 1:
-            raise InputError(f"j_max must be >= 1, got {self.j_max}")
         if self.m_batch is not None and self.m_batch < 1:
             raise InputError(f"mini-batch size must be >= 1, got {self.m_batch}")
         if self.eval_every < 0:
@@ -107,16 +105,16 @@ class EpsilonController:
         self.last_j = j
 
     def advance(self, k: int):
-        self.proposal = propose_epsilon(self, self.last_j, k)
+        self.proposal = propose_epsilon(self, k)
 
 
-def propose_epsilon(controller: EpsilonController, last_j: int, k: int) -> float:
-    """eps_hat_{k+1} from the accepted history, floored at EPS_MIN."""
+def propose_epsilon(controller: EpsilonController, k: int) -> float:
+    """eps_hat_{k+1} from the accepted history and last_j, floored at EPS_MIN."""
     if not controller.accepted:
         raise InputError("no accepted epsilon yet; history is empty")
     if controller.strategy == "sqh":
         proposal = controller.zeta * controller.accepted[-1]
-    elif last_j == 0:
+    elif controller.last_j == 0:
         proposal = controller.zeta * controller.proposal
     else:
         width = min(k, controller.omega) + 1
@@ -161,8 +159,9 @@ def sample_minibatch(rng: np.random.Generator, batch_indices: np.ndarray,
 
 
 def run_linesearch(objective, f, u: ParamSet, reg: Regularizer,
-                   eps_hat: float, *, mu: float, eta: float, j_max: int,
-                   iteration: int = 0, j_u: float | None = None):
+                   eps_hat: float, *, mu: float, eta: float,
+                   j_max: int = J_MAX, iteration: int = 0,
+                   j_u: float | None = None):
     """Escalate eps until sufficient decrease holds.
 
     objective maps a ParamSet to the scalar J it is searched on; each
@@ -182,6 +181,24 @@ def run_linesearch(objective, f, u: ParamSet, reg: Regularizer,
     raise LineSearchError(iteration, eps, j_max, j_u, j_w)
 
 
+def sweeps(model: Model, params: ParamSet, inputs: np.ndarray,
+           labels: np.ndarray, reg: Regularizer,
+           weights: np.ndarray | None = None) -> tuple[float, ParamSet]:
+    """(J_B(u), F) at u = params: forward sweep, adjoint sweep, F_l.
+
+    The adjoints are seeded with -(1/M) over the M rows of the batch.
+    Training, diagnostics and the CLI gradient check all get F here. The
+    three sweeps are looked up in this module's globals at call time, so a
+    wrapper installed on trainer.forward_sweep (and the others) sees every
+    call.
+    """
+    traj = forward_sweep(model, params, inputs)
+    loss, tg = terminal_loss(traj.outputs, labels, weights)
+    padj = backward_sweep(model, params, traj, tg)
+    f = hamiltonian_gradient(model, params, traj, padj)
+    return loss + regularization_total(params, reg), f
+
+
 def linesearch_step(model: Model, u: ParamSet, f, inputs: np.ndarray,
                     labels: np.ndarray, config: TrainConfig,
                     controller: EpsilonController,
@@ -192,8 +209,8 @@ def linesearch_step(model: Model, u: ParamSet, f, inputs: np.ndarray,
         return batch_objective(model, candidate, inputs, labels, config.reg,
                                weights)
     return run_linesearch(objective, f, u, config.reg, controller.proposal,
-                          mu=config.mu, eta=config.eta, j_max=config.j_max,
-                          iteration=iteration, j_u=j_u)
+                          mu=config.mu, eta=config.eta, iteration=iteration,
+                          j_u=j_u)
 
 
 def train(config: TrainConfig, model: Model, dataset: Dataset,
@@ -232,13 +249,7 @@ def train(config: TrainConfig, model: Model, dataset: Dataset,
         idx = sample_minibatch(sampler, all_indices, m_batch)
         xs, ys = dataset.inputs[idx], dataset.labels[idx]
 
-        traj = forward_sweep(model, u, xs)
-        loss_u, tg = terminal_loss(traj.outputs, ys, weights)
-        j_u = loss_u + regularization_total(u, config.reg)
-        adj = backward_sweep(model, u, traj, tg, batch_m=m_batch)
-        f = hamiltonian_gradient(model, u, traj, adj)
-        del traj, adj
-
+        j_u, f = sweeps(model, u, xs, ys, config.reg, weights)
         # In full-batch mode J_Bk(u^k) was already evaluated as last
         # iteration's J_Bk(u^{k+1}); reuse it so the monotonicity chain
         # compares bitwise-identical values.
@@ -290,10 +301,7 @@ def diagnostics(model: Model, iterates: list[ParamSet], dataset: Dataset,
             f"diagnostics needs at least {DIAG_INCREMENTS + 1} retained "
             f"iterates, got {len(iterates)}")
     u_prev, u_next = iterates[-2], iterates[-1]
-    traj = forward_sweep(model, u_prev, dataset.inputs)
-    _, tg = terminal_loss(traj.outputs, dataset.labels, weights)
-    adj = backward_sweep(model, u_prev, traj, tg, batch_m=len(dataset))
-    f = hamiltonian_gradient(model, u_prev, traj, adj)
+    _, f = sweeps(model, u_prev, dataset.inputs, dataset.labels, reg, weights)
     delta_h = hamiltonian_gap(f, u_next, u_prev, reg, eps_k)
     tail = iterates[-(DIAG_INCREMENTS + 1):]
     delta_u = sum(triple_norm_sq(b, a) for a, b in zip(tail, tail[1:]))

@@ -16,6 +16,7 @@ alpha = 0.8, eps0 = 1, eta = 1e-9, with sqh (mu = 7, zeta = 0.01) or ma
 
 import dataclasses
 import itertools
+import math
 import os
 import time
 
@@ -27,14 +28,11 @@ from pmptrain.cli import _prox_gap, main
 from pmptrain.data import load_idx
 from pmptrain.digits import synthetic_digits
 from pmptrain.errors import PmpTrainError
-from pmptrain.hamiltonian import hamiltonian_gap
 from pmptrain.metrics import accuracy, sparsity_pct
-from pmptrain.network import (backward_sweep, batch_objective, build_model,
-                              forward_logits, forward_sweep,
-                              hamiltonian_gradient, init_params,
-                              terminal_loss)
+from pmptrain.network import (batch_objective, build_model, init_params,
+                              param_shapes)
 from pmptrain.regularization import Regularizer
-from pmptrain.trainer import TrainConfig, train
+from pmptrain.trainer import TrainConfig, diagnostics, sweeps, train
 from pmptrain.data import synthetic_blobs
 
 LENET_ARCH = """
@@ -169,19 +167,16 @@ def test_criterion_02_minibatch_hamiltonian_unbiased():
     subsets = list(itertools.combinations(range(6), 3))
     assert len(subsets) == 20
 
-    def grad_at(params, idx, batch_m):
-        traj = forward_sweep(model, params, xs[idx])
-        _, tg = terminal_loss(traj.outputs, labels[idx])
-        adj = backward_sweep(model, params, traj, tg, batch_m=batch_m)
-        return hamiltonian_gradient(model, params, traj, adj)
+    def grad_at(params, idx):
+        return sweeps(model, params, xs[idx], labels[idx], reg)[1]
 
     t0 = time.perf_counter()
     worst = 0.0
     for trial in range(100):
         u = init_params(model, 1000 + trial)
         w = init_params(model, 2000 + trial)
-        full = hp_total(grad_at(u, np.arange(6), 6), w, reg)
-        mini = [hp_total(grad_at(u, np.array(s), 3), w, reg)
+        full = hp_total(grad_at(u, np.arange(6)), w, reg)
+        mini = [hp_total(grad_at(u, np.array(s)), w, reg)
                 for s in subsets]
         worst = max(worst, abs(float(np.mean(mini)) - full))
     elapsed = time.perf_counter() - t0
@@ -201,19 +196,17 @@ def test_criterion_03_gradient_matches_finite_differences():
     """
     model = build_model(arch, (1, 12, 12))
     params = init_params(model, 5)
-    assert params.num_params() <= 5000
+    assert sum(math.prod(ws) + math.prod(bs)
+               for ws, bs in param_shapes(model)) <= 5000
     rng = np.random.default_rng(9)
     xs = rng.uniform(0.0, 1.0, size=(8, 1, 12, 12))
     ys = np.zeros((8, 10))
     ys[np.arange(8), rng.integers(0, 10, 8)] = 1.0
 
-    traj = forward_sweep(model, params, xs)
-    _, tg = terminal_loss(traj.outputs, ys)
-    adj = backward_sweep(model, params, traj, tg, batch_m=8)
-    f = hamiltonian_gradient(model, params, traj, adj)
+    _, f = sweeps(model, params, xs, ys, Regularizer())
 
     def mean_loss():
-        return terminal_loss(forward_logits(model, params, xs), ys)[0]
+        return batch_objective(model, params, xs, ys, Regularizer())
 
     t0 = time.perf_counter()
     h = 1e-6
@@ -343,10 +336,7 @@ def test_criterion_08_rho_zero_update_is_explicit():
     u0, u1 = log.iterates
     eps = log.records[0].epsilon
 
-    traj = forward_sweep(model, u0, data.inputs)
-    _, tg = terminal_loss(traj.outputs, data.labels)
-    adj = backward_sweep(model, u0, traj, tg, batch_m=len(data))
-    f = hamiltonian_gradient(model, u0, traj, adj)
+    _, f = sweeps(model, u0, data.inputs, data.labels, Regularizer())
     worst = 0.0
     for (w1, b1), (w0, b0), (fw, fb) in zip(u1.blocks, u0.blocks, f.blocks):
         worst = max(worst, float(np.max(np.abs(w1 - (w0 + fw / eps)))))
@@ -370,16 +360,10 @@ def test_criterion_09_gap_shrinks_with_batch_size():
                              eps0=1.0, mu=1.1, strategy="ma", zeta=1.0,
                              omega=5, reg=reg, keep_iterates=True)
         _, log = train(config, model, data)
-        gaps = []
-        for t in range(k_max - tail, k_max):
-            u_prev, u_next = log.iterates[t], log.iterates[t + 1]
-            traj = forward_sweep(model, u_prev, data.inputs)
-            _, tg = terminal_loss(traj.outputs, data.labels)
-            adj = backward_sweep(model, u_prev, traj, tg,
-                                 batch_m=len(data))
-            f = hamiltonian_gradient(model, u_prev, traj, adj)
-            gaps.append(hamiltonian_gap(f, u_next, u_prev, reg,
-                                        log.records[t].epsilon))
+        # Delta_h of step t: the full-batch gap of u^(t+1)
+        gaps = [diagnostics(model, log.iterates[:t + 2], data, reg,
+                            log.records[t].epsilon)[0]
+                for t in range(k_max - tail, k_max)]
         return float(np.mean(gaps)), float(np.max(gaps))
 
     seeds = range(5)

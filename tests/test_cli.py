@@ -194,9 +194,9 @@ def test_eval_forwards_each_split_once(tmp_path, capsys, monkeypatch):
     rows = []
     real = metrics.forward_logits
 
-    def counting(model, params, inputs, chunk=None):
+    def counting(model, params, inputs):
         rows.append(inputs.shape[0])
-        return real(model, params, inputs, chunk)
+        return real(model, params, inputs)
 
     monkeypatch.setattr(metrics, "forward_logits", counting)
     assert main(["eval", str(cfg), str(snap)]) == 0

@@ -19,6 +19,7 @@ from pmptrain.network import (ParamSet, backward_sweep, build_model,
                               forward_sweep, hamiltonian_gradient,
                               param_shapes, terminal_loss)
 from pmptrain.regularization import Regularizer, l0_count, reg_value
+from pmptrain.trainer import sweeps
 
 
 def coord_obj(f, w, u, reg, eps):
@@ -51,15 +52,15 @@ class TestHpValue:
         labels[np.arange(6), rng.integers(0, 3, size=6)] = 1.0
         traj = forward_sweep(model, params, x)
         _, tg = terminal_loss(traj.outputs, labels)
-        adj = backward_sweep(model, params, traj, tg, batch_m=6)
-        f = hamiltonian_gradient(model, params, traj, adj)
+        padj = backward_sweep(model, params, traj, tg)
+        f = hamiltonian_gradient(model, params, traj, padj)
         reg = Regularizer("elastic-net", alpha=0.3, rho=0.7)
         for l in range(model.depth):
             got = hp_value_pair(f.blocks[l], params.blocks[l], reg)
             w, b = params.blocks[l]
             direct = 0.0
             for s in range(6):
-                direct += float(np.vdot(adj.padj[l + 1][s], traj.fin[l][s] @ w.T + b))
+                direct += float(np.vdot(padj[l + 1][s], traj.fin[l][s] @ w.T + b))
             direct -= reg.rho * (reg_value(reg, w) + reg_value(reg, b))
             assert got == pytest.approx(direct, abs=1e-12)
 
@@ -238,20 +239,17 @@ class TestUnbiasedness:
         labels[np.arange(6), rng.integers(0, 3, size=6)] = 1.0
         reg = Regularizer("l2l0", alpha=0.3, rho=0.4)
 
-        def f_of(batch_idx, params, m_seed):
-            xs, ys = x[list(batch_idx)], labels[list(batch_idx)]
-            traj = forward_sweep(model, params, xs)
-            _, tg = terminal_loss(traj.outputs, ys)
-            adj = backward_sweep(model, params, traj, tg, batch_m=m_seed)
-            return hamiltonian_gradient(model, params, traj, adj)
+        def f_of(batch_idx, params):
+            idx = list(batch_idx)
+            return sweeps(model, params, x[idx], labels[idx], reg)[1]
 
         for trial in range(20):
             params = ParamSet([(rng.normal(size=ws), rng.normal(size=bs))
                                for ws, bs in param_shapes(model)])
             w = ParamSet([(rng.normal(size=ws), rng.normal(size=bs))
                           for ws, bs in param_shapes(model)])
-            full = hp_total(f_of(range(6), params, 6), w, reg)
-            mini = [hp_total(f_of(batch, params, 3), w, reg)
+            full = hp_total(f_of(range(6), params), w, reg)
+            mini = [hp_total(f_of(batch, params), w, reg)
                     for batch in combinations(range(6), 3)]
             assert len(mini) == 20
             assert np.mean(mini) == pytest.approx(full, abs=1e-12)

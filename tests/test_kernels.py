@@ -24,16 +24,17 @@ def fc_vjp(w, x, p):
     """(input_vjp, weight_grad, bias_grad) of <p, W x + b> as the sweeps form them.
 
     The second layer of an identity stack sees x exactly (the first layer
-    is the identity matrix) and, seeded with -p at M = 1, the adjoint p.
+    is the identity matrix) and, seeded with -M * p over M rows, the
+    adjoint p (exactly p for one row).
     """
     x2, p2 = np.atleast_2d(x), np.atleast_2d(p)
     m, n = w.shape
     model = build_model(f"fc out={n} act=identity\nfc out={m} act=identity", n)
     params = ParamSet([(np.eye(n), np.zeros(n)), (w, np.zeros(m))])
     traj = forward_sweep(model, params, x2)
-    adj = backward_sweep(model, params, traj, -p2, batch_m=1)
-    wg, bg = hamiltonian_gradient(model, params, traj, adj).blocks[1]
-    ivjp = adj.padj[1]
+    padj = backward_sweep(model, params, traj, -len(x2) * p2)
+    wg, bg = hamiltonian_gradient(model, params, traj, padj).blocks[1]
+    ivjp = padj[1]
     return (ivjp if x.ndim == 2 else ivjp[0]), wg, bg
 
 
@@ -195,26 +196,26 @@ class TestPool:
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
         out = pool(x, "avg")
         np.testing.assert_array_equal(out, [[[2.5]]])
-        vjp = pool_vjp(x, np.array([[[1.0]]]), "avg")
+        vjp = pool_vjp(x, np.array([[[1.0]]]), "avg", out)
         np.testing.assert_array_equal(vjp, [[[0.25, 0.25], [0.25, 0.25]]])
 
     def test_max_direct(self):
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
         out = pool(x, "max")
         np.testing.assert_array_equal(out, [[[4.0]]])
-        vjp = pool_vjp(x, np.array([[[1.0]]]), "max")
+        vjp = pool_vjp(x, np.array([[[1.0]]]), "max", out)
         np.testing.assert_array_equal(vjp, [[[0.0, 0.0], [0.0, 1.0]]])
 
     def test_max_tie_routes_to_first_position(self):
         x = np.ones((1, 2, 2))
-        vjp = pool_vjp(x, np.array([[[1.0]]]), "max")
+        vjp = pool_vjp(x, np.array([[[1.0]]]), "max", pool(x, "max"))
         np.testing.assert_array_equal(vjp, [[[1.0, 0.0], [0.0, 0.0]]])
 
     def test_avg_vjp_matches_finite_differences(self):
         rng = np.random.default_rng(40)
         x = rng.normal(size=(2, 6, 6))
         p = rng.normal(size=(2, 3, 3))
-        got = pool_vjp(x, p, "avg")
+        got = pool_vjp(x, p, "avg", pool(x, "avg"))
         want = fd_grad(lambda v: pool(v, "avg"), x, p)
         assert rel_err(got, want) <= 1e-8
 
@@ -223,7 +224,7 @@ class TestPool:
         rng = np.random.default_rng(41)
         x = rng.permutation(36).astype(np.float64).reshape(1, 6, 6)
         p = rng.normal(size=(1, 3, 3))
-        got = pool_vjp(x, p, "max")
+        got = pool_vjp(x, p, "max", pool(x, "max"))
         want = fd_grad(lambda v: pool(v, "max"), x, p, h=1e-4)
         assert rel_err(got, want) <= 1e-8
 
@@ -233,11 +234,11 @@ class TestPool:
         for mode in ("avg", "max"):
             out = pool(x, mode)
             p = rng.normal(size=out.shape)
-            vjp = pool_vjp(x, p, mode)
+            vjp = pool_vjp(x, p, mode, out)
             for i in range(3):
                 np.testing.assert_array_equal(out[i], pool(x[i], mode))
-                np.testing.assert_array_equal(vjp[i],
-                                              pool_vjp(x[i], p[i], mode))
+                np.testing.assert_array_equal(
+                    vjp[i], pool_vjp(x[i], p[i], mode, pool(x[i], mode)))
 
     @pytest.mark.parametrize("shape", [(3, 2, 8, 6), (2, 8, 6)])
     @pytest.mark.parametrize("kind", ["tanh", "relu"])
@@ -252,8 +253,8 @@ class TestPool:
         want_avg_vjp = np.zeros(shape) + np.repeat(np.repeat(p / 4.0, 2, -2), 2, -1)
         for got, want in ((pool(x, "avg"), window_mean_pool(x)),
                           (pool(x, "max"), want_max),
-                          (pool_vjp(x, p, "avg"), want_avg_vjp),
-                          (pool_vjp(x, p, "max"), want_max_vjp)):
+                          (pool_vjp(x, p, "avg", pool(x, "avg")), want_avg_vjp),
+                          (pool_vjp(x, p, "max", pool(x, "max")), want_max_vjp)):
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
@@ -262,6 +263,9 @@ class TestPool:
             pool(np.ones((1, 5, 5)), "avg")
         with pytest.raises(InputError):
             pool(np.ones((1, 2, 2)), "median")
+        with pytest.raises(ShapeError):
+            pool_vjp(np.ones((1, 2, 2)), np.ones((1, 1, 1)), "max",
+                     np.ones((1, 2, 2)))
 
 
 class TestActivate:

@@ -5,18 +5,24 @@ explicit Toeplitz-matrix forward pass, a self-contained reverse-mode
 recursion for fully-connected stacks, and central finite differences.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import (LENET_ARCH, fd_scalar_grad, naive_lenet_forward, rel_err,
                      standard_forward, toeplitz_matrix)
 
+from pmptrain import network
+from pmptrain.digits import synthetic_digits
 from pmptrain.errors import (InputError, NumericOverflowError, ParseError,
                              ShapeError)
-from pmptrain.network import (AdjointSet, ParamSet, Trajectory, backward_sweep,
+from pmptrain.network import (ParamSet, Trajectory, backward_sweep,
                               batch_objective, build_model, forward_logits,
                               forward_sweep, hamiltonian_gradient, init_params,
                               param_shapes, terminal_loss, triple_norm_sq)
 from pmptrain.regularization import Regularizer
+from pmptrain.trainer import sweeps
 
 TINY_CNN = """\
 conv out=2 k=3 stride=1 pad=1 act=tanh pool=avg2
@@ -50,16 +56,18 @@ class TestBuildModel:
         model = build_model("fc out=10 act=identity", 784)
         assert model.depth == 1
         assert model.m == 10
-        assert model.pre_shapes == ((784,), (10,))
+        assert model.fin_shapes == ((784,),)
+        assert param_shapes(model) == [((10, 784), (10,))]
 
     def test_five_layer_reference_net(self):
         model = build_model(LENET_ARCH, (1, 28, 28))
         assert model.depth == 5
         assert model.m == 10
-        params = init_params(model, seed=0)
-        assert params.num_params() == 61706
-        assert model.pre_shapes[1] == (6, 28, 28)
-        assert model.pre_shapes[2] == (16, 10, 10)
+        shapes = param_shapes(model)
+        assert sum(math.prod(ws) + math.prod(bs) for ws, bs in shapes) == 61706
+        assert shapes[0] == ((6, 1, 5, 5), (6,))
+        assert shapes[1] == ((16, 6, 5, 5), (16,))
+        assert model.fin_shapes[1] == (6, 14, 14)
         assert model.fin_shapes[2] == (16, 5, 5)
 
     def test_conv_after_flat_input_is_composition_error(self):
@@ -185,13 +193,14 @@ class TestForwardSweep:
         for i in range(2):
             np.testing.assert_allclose(got[i], toeplitz_net(x[i]), rtol=0, atol=1e-10)
 
-    def test_forward_logits_matches_sweep_and_chunks(self):
+    def test_forward_logits_matches_sweep_and_chunks(self, monkeypatch):
         model = build_model(TINY_CNN, (1, 12, 12))
         params = random_params(model, seed=35)
         x = np.random.default_rng(36).normal(size=(9, 1, 12, 12))
         full = forward_sweep(model, params, x).outputs
         np.testing.assert_array_equal(forward_logits(model, params, x), full)
-        np.testing.assert_allclose(forward_logits(model, params, x, chunk=4),
+        monkeypatch.setattr(network, "FORWARD_CHUNK", 4)
+        np.testing.assert_allclose(forward_logits(model, params, x),
                                    full, rtol=0, atol=1e-12)
 
     def test_overflow_names_layer(self):
@@ -253,16 +262,16 @@ class TestBackwardSweep:
         x = np.random.default_rng(52).normal(size=(1, 3))
         traj = forward_sweep(model, params, x)
         g = np.array([[0.3, -0.7]])
-        adj = backward_sweep(model, params, traj, g, batch_m=1)
-        np.testing.assert_array_equal(adj.padj[1], -g)
+        padj = backward_sweep(model, params, traj, g)
+        np.testing.assert_array_equal(padj[1], -g)
 
     def test_zero_terminal_gradients_zero_adjoints(self):
         model = build_model(TINY_CNN, (1, 12, 12))
         params = random_params(model, seed=53)
         x = np.random.default_rng(54).normal(size=(2, 1, 12, 12))
         traj = forward_sweep(model, params, x)
-        adj = backward_sweep(model, params, traj, np.zeros_like(traj.outputs), 2)
-        for p in adj.padj[1:]:
+        padj = backward_sweep(model, params, traj, np.zeros_like(traj.outputs))
+        for p in padj[1:]:
             assert np.all(p == 0.0)
 
     def test_matches_independent_reverse_mode(self):
@@ -276,7 +285,7 @@ class TestBackwardSweep:
         labels = one_hot(rng.integers(0, 3, size=5), 3)
         traj = forward_sweep(model, params, x)
         _, tg = terminal_loss(traj.outputs, labels)
-        adj = backward_sweep(model, params, traj, tg, batch_m=5)
+        padj = backward_sweep(model, params, traj, tg)
 
         states = [x]
         for l, (w, b) in enumerate(params.blocks):
@@ -289,7 +298,7 @@ class TestBackwardSweep:
             t = np.tanh(states[l])
             want[l] = (want[l + 1] @ w) * (1.0 - t * t)
         for l in range(1, model.depth + 1):
-            np.testing.assert_allclose(adj.padj[l], want[l], rtol=0, atol=1e-10)
+            np.testing.assert_allclose(padj[l], want[l], rtol=0, atol=1e-10)
 
     def test_boundedness_regression(self):
         model = build_model(TINY_CNN, (1, 12, 12))
@@ -302,8 +311,8 @@ class TestBackwardSweep:
                                for ws, bs in param_shapes(model)])
             traj = forward_sweep(model, params, x)
             _, tg = terminal_loss(traj.outputs, labels)
-            adj = backward_sweep(model, params, traj, tg, batch_m=4)
-            worst = max(worst, max(np.linalg.norm(p) for p in adj.padj[1:]))
+            padj = backward_sweep(model, params, traj, tg)
+            worst = max(worst, max(np.linalg.norm(p) for p in padj[1:]))
         assert worst < 50.0
 
     def test_mismatched_trajectory_rejected(self):
@@ -311,9 +320,10 @@ class TestBackwardSweep:
         params = random_params(model, seed=58)
         traj = forward_sweep(model, params, np.ones((2, 3)))
         with pytest.raises(InputError):
-            backward_sweep(model, params, traj, np.zeros((3, 2)), 2)
-        with pytest.raises(InputError):
-            backward_sweep(model, params, traj, np.zeros((2, 2)), 0)
+            backward_sweep(model, params, traj, np.zeros((3, 2)))
+        empty = forward_sweep(model, params, np.ones((0, 3)))
+        with pytest.raises(InputError, match="empty batch"):
+            backward_sweep(model, params, empty, np.zeros((0, 2)))
 
 
 class TestHamiltonianGradient:
@@ -322,8 +332,8 @@ class TestHamiltonianGradient:
         params = ParamSet([(np.zeros((2, 1)), np.zeros(2))])
         x = np.array([[3.0]])
         traj = Trajectory(fin=[x], act_full=[None], outputs=np.zeros((1, 2)))
-        adj = AdjointSet(padj=[None, np.array([[1.0, 2.0]])], batch_m=1)
-        f = hamiltonian_gradient(model, params, traj, adj)
+        padj = [None, np.array([[1.0, 2.0]])]
+        f = hamiltonian_gradient(model, params, traj, padj)
         np.testing.assert_array_equal(f.blocks[0][0], [[3.0], [6.0]])
         np.testing.assert_array_equal(f.blocks[0][1], [1.0, 2.0])
 
@@ -332,8 +342,8 @@ class TestHamiltonianGradient:
         params = random_params(model, seed=61)
         x = np.random.default_rng(62).normal(size=(2, 1, 12, 12))
         traj = forward_sweep(model, params, x)
-        adj = backward_sweep(model, params, traj, np.zeros_like(traj.outputs), 2)
-        f = hamiltonian_gradient(model, params, traj, adj)
+        padj = backward_sweep(model, params, traj, np.zeros_like(traj.outputs))
+        f = hamiltonian_gradient(model, params, traj, padj)
         for wg, bg in f.blocks:
             assert np.all(wg == 0.0) and np.all(bg == 0.0)
 
@@ -348,10 +358,7 @@ class TestHamiltonianGradient:
         rng = np.random.default_rng(64)
         x = rng.normal(size=(4, 1, 12, 12))
         labels = one_hot(rng.integers(0, 4, size=4), 4)
-        traj = forward_sweep(model, params, x)
-        _, tg = terminal_loss(traj.outputs, labels)
-        adj = backward_sweep(model, params, traj, tg, batch_m=4)
-        f = hamiltonian_gradient(model, params, traj, adj)
+        _, f = sweeps(model, params, x, labels, Regularizer())
 
         def mean_loss_with(l, which, value):
             trial = params.copy()
@@ -402,6 +409,27 @@ class TestBatchObjective:
                                     Regularizer("l2l0", 0.0, 1.0, include_bias=False))
         assert with_b - without_b == pytest.approx(1.0, abs=1e-12)
 
+    def test_peak_memory_stays_at_one_chunk(self):
+        # a LeNet forward copies its layer-0 conv windows, about 190 MiB
+        # per 1,000 images; in chunks, 2,048 images cost what 1,024 do
+        model = build_model(LENET_ARCH, (1, 28, 28))
+        params = init_params(model, seed=0)
+        data = synthetic_digits(seed=76, n_per_class=205)
+        reg = Regularizer("none")
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                batch_objective(model, params, data.inputs[:n],
+                                data.labels[:n], reg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(network.FORWARD_CHUNK)
+        two = peak(2 * network.FORWARD_CHUNK)
+        assert two <= 1.1 * one, f"{two / 2**20:.0f} MiB vs {one / 2**20:.0f} MiB"
+
     def test_five_layer_batch_matches_independent_recomputation(self):
         model = build_model(LENET_ARCH, (1, 28, 28))
         params = random_params(model, seed=74, scale=0.15)
@@ -447,8 +475,10 @@ class TestTripleNorm:
     def test_zero_iff_equal(self):
         model = build_model("fc out=2 act=identity", 3)
         a = random_params(model, seed=81)
+        zero = ParamSet([(np.zeros_like(w), np.zeros_like(b))
+                         for w, b in a.blocks])
         assert triple_norm_sq(a, a) == 0.0
-        assert triple_norm_sq(a) > 0.0
+        assert triple_norm_sq(a, zero) > 0.0
 
     def test_sums_all_layers(self):
         model = build_model("fc out=4 act=tanh\nfc out=2 act=identity", 3)

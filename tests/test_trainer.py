@@ -8,13 +8,12 @@ import pytest
 from pmptrain.data import synthetic_blobs
 from pmptrain.errors import InputError, LineSearchError
 from pmptrain.metrics import accuracy
-from pmptrain.network import (ParamSet, backward_sweep, build_model,
-                              forward_sweep, hamiltonian_gradient,
-                              init_params, terminal_loss, triple_norm_sq)
+from pmptrain.network import (ParamSet, build_model, init_params,
+                              triple_norm_sq)
 from pmptrain.regularization import Regularizer
 from pmptrain.trainer import (EPS_MIN, EpsilonController, TrainConfig,
                               diagnostics, propose_epsilon, run_linesearch,
-                              sample_minibatch, train)
+                              sample_minibatch, sweeps, train)
 
 BLOB_ARCH = """
 fc out=16 act=tanh
@@ -75,48 +74,48 @@ def test_sample_minibatch_bad_sizes():
 
 # ------------------------------------------------------- epsilon proposals
 
-def make_controller(strategy, zeta, omega, proposal, history):
+def make_controller(strategy, zeta, omega, proposal, history, last_j=0):
     acc = collections.deque(history, maxlen=omega + 1)
     return EpsilonController(strategy=strategy, zeta=zeta, omega=omega,
-                             proposal=proposal, accepted=acc)
+                             proposal=proposal, accepted=acc, last_j=last_j)
 
 
 def test_sqh_proposal_scales_last_accepted():
-    ctrl = make_controller("sqh", 0.01, 5, 1.0, [7.0, 49.0])
-    assert propose_epsilon(ctrl, last_j=2, k=1) == 0.49
+    ctrl = make_controller("sqh", 0.01, 5, 1.0, [7.0, 49.0], last_j=2)
+    assert propose_epsilon(ctrl, k=1) == 0.49
 
 
 def test_ma_proposal_mean_of_window():
-    ctrl = make_controller("ma", 1.0, 5, 4.0, [1.0, 2.0, 3.0, 4.0])
+    ctrl = make_controller("ma", 1.0, 5, 4.0, [1.0, 2.0, 3.0, 4.0], last_j=1)
     # k = 3: window is the last min(3, 5) + 1 = 4 accepted values
-    assert propose_epsilon(ctrl, last_j=1, k=3) == pytest.approx(2.5, abs=0.0)
+    assert propose_epsilon(ctrl, k=3) == pytest.approx(2.5, abs=0.0)
 
 
 def test_ma_proposal_unchanged_when_accepted_immediately():
     ctrl = make_controller("ma", 1.0, 5, 3.75, [9.0, 3.75])
-    assert propose_epsilon(ctrl, last_j=0, k=1) == 3.75
+    assert propose_epsilon(ctrl, k=1) == 3.75
 
 
 def test_ma_proposal_shrinks_with_zeta_below_one():
     ctrl = make_controller("ma", 0.5, 5, 2.0, [2.0])
-    assert propose_epsilon(ctrl, last_j=0, k=0) == 1.0
+    assert propose_epsilon(ctrl, k=0) == 1.0
 
 
 def test_ma_window_clipped_by_omega():
-    ctrl = make_controller("ma", 1.0, 2, 8.0, [2.0, 4.0, 6.0])
+    ctrl = make_controller("ma", 1.0, 2, 8.0, [2.0, 4.0, 6.0], last_j=3)
     # omega = 2 keeps 3 values; at large k the window is all of them
-    assert propose_epsilon(ctrl, last_j=3, k=50) == pytest.approx(4.0, abs=0.0)
+    assert propose_epsilon(ctrl, k=50) == pytest.approx(4.0, abs=0.0)
 
 
 def test_proposal_floor():
-    ctrl = make_controller("sqh", 0.01, 5, 1.0, [1e-7])
-    assert propose_epsilon(ctrl, last_j=1, k=0) == EPS_MIN
+    ctrl = make_controller("sqh", 0.01, 5, 1.0, [1e-7], last_j=1)
+    assert propose_epsilon(ctrl, k=0) == EPS_MIN
 
 
 def test_proposal_requires_history():
     ctrl = make_controller("sqh", 0.01, 5, 1.0, [])
     with pytest.raises(InputError):
-        propose_epsilon(ctrl, last_j=0, k=0)
+        propose_epsilon(ctrl, k=0)
 
 
 def test_controller_advance_uses_pending_proposal():
@@ -133,7 +132,7 @@ def test_config_rejects_bad_values():
     for kwargs in ({"strategy": "adam"}, {"mu": 1.0}, {"mu": 0.5},
                    {"eta": 0.0}, {"eps0": 0.0}, {"zeta": 0.0},
                    {"zeta": 1.5}, {"omega": 0}, {"k_max": 0},
-                   {"j_max": 0}, {"m_batch": 0}, {"eval_every": -1}):
+                   {"m_batch": 0}, {"eval_every": -1}):
         with pytest.raises(InputError):
             TrainConfig(**kwargs)
 
@@ -258,10 +257,7 @@ def test_train_rho_zero_step_is_scaled_gradient():
     u0, u1 = log.iterates[0], log.iterates[1]
     eps = log.records[0].epsilon
 
-    traj = forward_sweep(model, u0, data.inputs)
-    _, tg = terminal_loss(traj.outputs, data.labels)
-    adj = backward_sweep(model, u0, traj, tg, batch_m=len(data))
-    f = hamiltonian_gradient(model, u0, traj, adj)
+    _, f = sweeps(model, u0, data.inputs, data.labels, Regularizer())
     for (w1, b1), (w0, b0), (fw, fb) in zip(u1.blocks, u0.blocks, f.blocks):
         assert np.array_equal(w1, w0 + fw / eps)
         assert np.array_equal(b1, b0 + fb / eps)
@@ -356,10 +352,6 @@ def test_diagnostics_zero_for_stationary_sequence():
     model, data = small_blob_setup()
     params = init_params(model, 0)
     iterates = [params.copy() for _ in range(7)]
-    traj = forward_sweep(model, params, data.inputs)
-    _, tg = terminal_loss(traj.outputs, data.labels)
-    adj = backward_sweep(model, params, traj, tg, batch_m=len(data))
-    f = hamiltonian_gradient(model, params, traj, adj)
     # pick eps so the closed-form maximizer stays near params: large eps
     # means a small exact step, so the gap is small but positive, while
     # the parameter-change sum is exactly zero
