@@ -23,14 +23,21 @@ K, TAIL = 60, 50
 
 
 def tail_gaps(m_batch, seed):
-    config = TrainConfig(seed=seed, m_batch=m_batch, k_max=K, mu=1.1,
-                         strategy="ma", zeta=1.0, reg=reg,
-                         keep_iterates=True)
-    _, log = train(config, model, data)
-    # Delta_h of step t: the full-batch gap of u^(t+1), the newest iterate
-    return [diagnostics(model, log.iterates[:t + 2], data, reg,
-                        log.records[t].epsilon)[0]
-            for t in range(K - TAIL, K)]
+    config = TrainConfig(seed=seed, m_batch=m_batch, k_max=K, strategy="ma",
+                         reg=reg)
+    records, gaps = [], []
+    prev = None
+
+    def on_step(record, u):
+        nonlocal prev
+        # Delta_h of step k: the full-batch gap of u^(k+1), the newest iterate
+        records.append(record)
+        if record.k >= K - TAIL:
+            gaps.append(diagnostics(model, prev, u, records, data, reg)[0])
+        prev = u
+
+    train(config, model, data, on_iteration=on_step)
+    return gaps
 
 
 print(f"dataset: {len(data)} samples; gap averaged over last {TAIL} of "

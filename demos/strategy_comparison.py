@@ -25,9 +25,8 @@ model = build_model(ARCH, (1, 28, 28))
 K = 120
 
 results = {}
-for strategy, mu, zeta in (("sqh", 7.0, 0.01), ("ma", 1.1, 1.0)):
-    config = TrainConfig(seed=21, k_max=K, strategy=strategy, mu=mu,
-                         zeta=zeta, omega=5)
+for strategy in ("sqh", "ma"):
+    config = TrainConfig(seed=21, k_max=K, strategy=strategy)
     params, log = train(config, model, train_set)
     steps = log.records[-1].ls_steps_cum
     results[strategy] = steps

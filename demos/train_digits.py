@@ -35,7 +35,7 @@ print(f"{len(train_set)} train / {len(test_set)} test images, "
       f"{len(model.layers)} layers")
 
 config = TrainConfig(seed=7, m_batch=100, k_max=120, strategy="ma",
-                     mu=1.1, zeta=1.0, omega=5, eval_every=20)
+                     eval_every=20)
 params, log = train(config, model, train_set, test_set=test_set)
 
 for r in log.records:

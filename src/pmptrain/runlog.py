@@ -136,17 +136,28 @@ def summarize(log: RunLog) -> RunSummary:
 
 
 def save_params(params: ParamSet, path):
-    """Flat little-endian float64 dump plus a JSON sidecar of shapes."""
+    """Flat little-endian float64 dump plus a JSON sidecar of shapes.
+
+    Both files are written to temporaries first and then moved into place
+    with os.replace, so a failed write leaves the previous snapshot as it was.
+    """
     path = os.fspath(path)
     flat = np.concatenate([np.concatenate([w.ravel(), b.ravel()])
                            for w, b in params.blocks])
-    with open(path, "wb") as fh:
-        fh.write(flat.astype("<f8").tobytes())
     sidecar = {"layers": [{"weight": list(w.shape), "bias": list(b.shape)}
                           for w, b in params.blocks]}
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=1)
-        fh.write("\n")
+    try:
+        with open(path + ".tmp", "wb") as fh:
+            fh.write(flat.astype("<f8").tobytes())
+        with open(path + ".json.tmp", "w", encoding="utf-8") as fh:
+            json.dump(sidecar, fh, indent=1)
+            fh.write("\n")
+        os.replace(path + ".tmp", path)
+        os.replace(path + ".json.tmp", path + ".json")
+    finally:
+        for tmp in (path + ".tmp", path + ".json.tmp"):
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def _shape(dims) -> tuple[int, ...]:

@@ -38,10 +38,14 @@ from .network import (Model, ParamSet, backward_sweep, batch_objective,
                       regularization_total, terminal_loss, triple_norm_sq)
 from .regularization import Regularizer
 
-STRATEGIES = ("sqh", "ma")
+# strategy profiles: TrainConfig takes mu, zeta and omega from here when None
+PROFILES = {
+    "sqh": {"mu": 7.0, "zeta": 0.01, "omega": 5},
+    "ma": {"mu": 1.1, "zeta": 1.0, "omega": 5},
+}
 EPS_MIN = 1e-8
 J_MAX = 60  # escalations of one line search before LineSearchError
-DIAG_INCREMENTS = 6  # trailing parameter-change terms in the Delta-u sum
+DIAG_STEPS = 6  # trailing squared step norms in the Delta-u sum
 
 
 @dataclass
@@ -52,19 +56,21 @@ class TrainConfig:
     m_batch: int | None = None
     k_max: int = 100
     eps0: float = 1.0
-    mu: float = 7.0
+    mu: float | None = None
     eta: float = 1e-9
     strategy: str = "sqh"
-    zeta: float = 0.01
-    omega: int = 5
+    zeta: float | None = None
+    omega: int | None = None
     reg: Regularizer = field(default_factory=Regularizer)
     eval_every: int = 0
     use_class_weights: bool = False
-    keep_iterates: bool = False
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise InputError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
+        if self.strategy not in PROFILES:
+            raise InputError(f"strategy must be one of {tuple(PROFILES)}, got {self.strategy!r}")
+        for key, value in PROFILES[self.strategy].items():
+            if getattr(self, key) is None:
+                setattr(self, key, value)
         if not self.mu > 1.0:
             raise InputError(f"mu must be > 1, got {self.mu}")
         if not self.eta > 0.0:
@@ -142,7 +148,6 @@ class IterationRecord:
 @dataclass
 class RunLog:
     records: list[IterationRecord] = field(default_factory=list)
-    iterates: list[ParamSet] | None = None  # u^(0)..u^(k_max) when retained
 
 
 def sample_minibatch(rng: np.random.Generator, batch_indices: np.ndarray,
@@ -158,26 +163,22 @@ def sample_minibatch(rng: np.random.Generator, batch_indices: np.ndarray,
     return batch_indices[np.sort(pick)]
 
 
-def run_linesearch(objective, f, u: ParamSet, reg: Regularizer,
+def run_linesearch(objective, f, u: ParamSet, j_u: float, reg: Regularizer,
                    eps_hat: float, *, mu: float, eta: float,
-                   j_max: int = J_MAX, iteration: int = 0,
-                   j_u: float | None = None):
+                   j_max: int = J_MAX, iteration: int = 0):
     """Escalate eps until sufficient decrease holds.
 
-    objective maps a ParamSet to the scalar J it is searched on; each
-    evaluation of the acceptance condition costs exactly one call.
-    Returns (w, eps, j, evals, j_u, j_w).
+    objective maps a ParamSet to the scalar J it is searched on, and j_u
+    is its value at u; trial j costs exactly one call, so an accepted
+    search made j + 1. Returns (w, eps, j, J(w), |||w - u|||).
     """
-    if j_u is None:
-        j_u = objective(u)
-    evals = 0
     for j in range(j_max + 1):
         eps = (mu ** j) * eps_hat
         w = update_params(f, u, reg, eps)
         j_w = objective(w)
-        evals += 1
-        if j_w - j_u <= -eta * triple_norm_sq(w, u):
-            return w, eps, j, evals, j_u, j_w
+        step_sq = triple_norm_sq(w, u)
+        if j_w - j_u <= -eta * step_sq:
+            return w, eps, j, j_w, step_sq
     raise LineSearchError(iteration, eps, j_max, j_u, j_w)
 
 
@@ -199,18 +200,17 @@ def sweeps(model: Model, params: ParamSet, inputs: np.ndarray,
     return loss + regularization_total(params, reg), f
 
 
-def linesearch_step(model: Model, u: ParamSet, f, inputs: np.ndarray,
-                    labels: np.ndarray, config: TrainConfig,
-                    controller: EpsilonController,
-                    weights: np.ndarray | None = None, iteration: int = 0,
-                    j_u: float | None = None):
+def linesearch_step(model: Model, f, u: ParamSet, j_u: float,
+                    inputs: np.ndarray, labels: np.ndarray,
+                    config: TrainConfig, controller: EpsilonController,
+                    weights: np.ndarray | None = None, iteration: int = 0):
     """Line search on the mini-batch objective; sweeps for u already done."""
     def objective(candidate: ParamSet) -> float:
         return batch_objective(model, candidate, inputs, labels, config.reg,
                                weights)
-    return run_linesearch(objective, f, u, config.reg, controller.proposal,
-                          mu=config.mu, eta=config.eta, iteration=iteration,
-                          j_u=j_u)
+    return run_linesearch(objective, f, u, j_u, config.reg,
+                          controller.proposal, mu=config.mu, eta=config.eta,
+                          iteration=iteration)
 
 
 def train(config: TrainConfig, model: Model, dataset: Dataset,
@@ -218,8 +218,10 @@ def train(config: TrainConfig, model: Model, dataset: Dataset,
           on_iteration=None) -> tuple[ParamSet, RunLog]:
     """Run k_max training iterations; deterministic given (config, dataset).
 
-    on_iteration, when given, is called with each finished
-    IterationRecord (for streaming logs or progress display).
+    on_iteration, when given, is called as on_iteration(record, u) after
+    each iteration with u = u^(k+1). train keeps no iterate history and
+    never mutates a ParamSet it has handed out (every update builds new
+    arrays), so a callback may keep u without copying it.
     """
     n = len(dataset)
     if n == 0:
@@ -236,14 +238,11 @@ def train(config: TrainConfig, model: Model, dataset: Dataset,
     weights = class_weights(dataset) if config.use_class_weights else None
 
     log = RunLog()
-    if config.keep_iterates:
-        log.iterates = [params.copy()]
     all_indices = np.arange(n)
     full_batch = m_batch == n
     ls_steps = 0
     t0 = time.perf_counter()
     u = params
-    j_after = None  # carries J_Bk(u^{k+1}) to the next full-batch iteration
 
     for k in range(config.k_max):
         idx = sample_minibatch(sampler, all_indices, m_batch)
@@ -253,24 +252,22 @@ def train(config: TrainConfig, model: Model, dataset: Dataset,
         # In full-batch mode J_Bk(u^k) was already evaluated as last
         # iteration's J_Bk(u^{k+1}); reuse it so the monotonicity chain
         # compares bitwise-identical values.
-        if full_batch and j_after is not None:
-            j_u = j_after
-        w, eps_k, j, evals, j_u, j_w = linesearch_step(
-            model, u, f, xs, ys, config, controller, weights, iteration=k,
-            j_u=j_u)
-        ls_steps += evals
+        if full_batch and k > 0:
+            j_u = j_w
+        u, eps_k, j, j_w, step_sq = linesearch_step(
+            model, f, u, j_u, xs, ys, config, controller, weights,
+            iteration=k)
+        ls_steps += j + 1
         controller.record(eps_k, j)
         controller.advance(k)
-        step_sq = triple_norm_sq(w, u)
-        u = w
-        j_after = j_w if full_batch else None
 
         record = IterationRecord(
             k=k, epsilon=eps_k, j=j, mb_loss_before=j_u, mb_loss_after=j_w,
             step_sq=step_sq, ls_steps_cum=ls_steps,
             wall_s=time.perf_counter() - t0)
         if config.eval_every and (k + 1) % config.eval_every == 0:
-            record.full_loss = batch_objective(
+            # in full batch the accepted trial's J(w) is the full objective
+            record.full_loss = j_w if full_batch else batch_objective(
                 model, u, dataset.inputs, dataset.labels, config.reg, weights)
             record.train_acc = accuracy(model, u, dataset)
             if test_set is not None:
@@ -278,31 +275,29 @@ def train(config: TrainConfig, model: Model, dataset: Dataset,
             record.sparsity = sparsity_pct(u, config.reg.include_bias)
         log.records.append(record)
         if on_iteration is not None:
-            on_iteration(record)
-        if config.keep_iterates:
-            log.iterates.append(u.copy())
+            on_iteration(record, u)
 
     return u, log
 
 
-def diagnostics(model: Model, iterates: list[ParamSet], dataset: Dataset,
-                reg: Regularizer, eps_k: float,
+def diagnostics(model: Model, u_prev: ParamSet, u_next: ParamSet,
+                records: list[IterationRecord], dataset: Dataset,
+                reg: Regularizer,
                 weights: np.ndarray | None = None) -> tuple[float, float]:
-    """(Delta_h, Delta_u) for the newest iterate in `iterates`.
+    """(Delta_h, Delta_u) of the step u_prev -> u_next logged as records[-1].
 
-    Delta_h recomputes the FULL-batch Hamiltonian gradient at the previous
-    iterate and measures how far the accepted step is from the exact
-    closed-form maximizer; it is zero (to rounding) in full-batch mode.
-    Delta_u sums the last six squared step norms, so at least seven
-    retained iterates are required.
+    Delta_h recomputes the FULL-batch Hamiltonian gradient at u_prev and
+    measures how far the accepted step (at records[-1].epsilon) is from
+    the exact closed-form maximizer; it is zero (to rounding) in
+    full-batch mode. Delta_u sums the last six records' squared step norms.
     """
-    if len(iterates) < DIAG_INCREMENTS + 1:
-        raise InputError(
-            f"diagnostics needs at least {DIAG_INCREMENTS + 1} retained "
-            f"iterates, got {len(iterates)}")
-    u_prev, u_next = iterates[-2], iterates[-1]
+    if len(records) < DIAG_STEPS:
+        raise InputError(f"diagnostics needs at least {DIAG_STEPS} "
+                         f"iteration records, got {len(records)}")
+    if triple_norm_sq(u_next, u_prev) != records[-1].step_sq:
+        raise InputError(f"u_prev -> u_next is not the step logged for "
+                         f"iteration {records[-1].k}")
     _, f = sweeps(model, u_prev, dataset.inputs, dataset.labels, reg, weights)
-    delta_h = hamiltonian_gap(f, u_next, u_prev, reg, eps_k)
-    tail = iterates[-(DIAG_INCREMENTS + 1):]
-    delta_u = sum(triple_norm_sq(b, a) for a, b in zip(tail, tail[1:]))
+    delta_h = hamiltonian_gap(f, u_next, u_prev, reg, records[-1].epsilon)
+    delta_u = sum(r.step_sq for r in records[-DIAG_STEPS:])
     return delta_h, delta_u

@@ -330,10 +330,9 @@ def test_criterion_08_rho_zero_update_is_explicit():
     """
     model = build_model(arch, (1, 28, 28))
     data = synthetic_digits(seed=31, n_per_class=4)
-    config = TrainConfig(seed=13, k_max=1, keep_iterates=True,
-                         reg=Regularizer("none"))
-    _, log = train(config, model, data)
-    u0, u1 = log.iterates
+    config = TrainConfig(seed=13, k_max=1, reg=Regularizer("none"))
+    u0 = init_params(model, 13)
+    u1, log = train(config, model, data, params=u0)
     eps = log.records[0].epsilon
 
     _, f = sweeps(model, u0, data.inputs, data.labels, Regularizer())
@@ -357,13 +356,20 @@ def test_criterion_09_gap_shrinks_with_batch_size():
 
     def mean_gap(m_batch, seed):
         config = TrainConfig(seed=seed, m_batch=m_batch, k_max=k_max,
-                             eps0=1.0, mu=1.1, strategy="ma", zeta=1.0,
-                             omega=5, reg=reg, keep_iterates=True)
-        _, log = train(config, model, data)
-        # Delta_h of step t: the full-batch gap of u^(t+1)
-        gaps = [diagnostics(model, log.iterates[:t + 2], data, reg,
-                            log.records[t].epsilon)[0]
-                for t in range(k_max - tail, k_max)]
+                             eps0=1.0, strategy="ma", reg=reg)
+        records, gaps = [], []
+        prev = None
+
+        def on_step(record, u):
+            nonlocal prev
+            # Delta_h of step k: the full-batch gap of u^(k+1)
+            records.append(record)
+            if record.k >= k_max - tail:
+                gaps.append(diagnostics(model, prev, u, records, data,
+                                        reg)[0])
+            prev = u
+
+        train(config, model, data, on_iteration=on_step)
         return float(np.mean(gaps)), float(np.max(gaps))
 
     seeds = range(5)

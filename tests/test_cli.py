@@ -82,6 +82,13 @@ def test_parse_config_bad_range(tmp_path):
     assert "mu" in str(info.value)
 
 
+def test_parse_config_unknown_strategy(tmp_path):
+    cfg = write_blob_config(tmp_path, BLOB_CONFIG + "strategy = adam\n")
+    with pytest.raises(ConfigError) as info:
+        parse_config(cfg)
+    assert "strategy" in str(info.value)
+
+
 def test_parse_config_bad_number(tmp_path):
     cfg = write_blob_config(tmp_path, BLOB_CONFIG + "eps0 = fast\n")
     with pytest.raises(ConfigError) as info:
@@ -246,13 +253,19 @@ def test_gradcheck_passes(tmp_path, capsys):
     assert "max relative error" in out and "PASS" in out
 
 
-def test_gradcheck_small_cnn(tmp_path, capsys):
+@pytest.mark.parametrize("conv,data_seed,seed", [
+    ("act=tanh pool=avg2", 0, 1),
+    # zero biases would put blank regions on the relu kink, where F and
+    # the central difference disagree
+    ("act=relu pool=max2", 3, 4),
+], ids=["tanh-avg2", "relu-max2"])
+def test_gradcheck_small_cnn(tmp_path, capsys, conv, data_seed, seed):
     cfg = tmp_path / "cnn.cfg"
     cfg.write_text(
-        "arch = conv out=2 k=3 stride=1 pad=1 act=tanh pool=avg2; "
+        f"arch = conv out=2 k=3 stride=1 pad=1 {conv}; "
         "fc out=10 act=identity\n"
-        "data = digits:seed=0,train_per_class=2\n"
-        "seed = 1\n", encoding="utf-8")
+        f"data = digits:seed={data_seed},train_per_class=2\n"
+        f"seed = {seed}\n", encoding="utf-8")
     assert main(["gradcheck", str(cfg), "--coords", "20"]) == 0
     assert "PASS" in capsys.readouterr().out
 

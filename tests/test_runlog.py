@@ -1,5 +1,7 @@
 """CSV log emission/parsing, run summaries, parameter snapshots."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,23 @@ def test_snapshot_rejects_wrong_length(tmp_path):
         fh.write(b"\x00" * 8)
     with pytest.raises(InputError):
         load_params(path)
+
+
+def test_failed_save_keeps_previous_snapshot(tmp_path, monkeypatch):
+    model = build_model("fc out=5 act=relu\nfc out=3 act=identity", (4,))
+    path = str(tmp_path / "u.bin")
+    save_params(init_params(model, seed=9), path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def fail_midway(*args, **kwargs):
+        raise OSError("no space left on device")
+
+    # the binary is written, then the sidecar write fails
+    monkeypatch.setattr(json, "dump", fail_midway)
+    with pytest.raises(OSError):
+        save_params(init_params(model, seed=10), path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    load_params(path)
 
 
 @pytest.mark.parametrize("sidecar", [

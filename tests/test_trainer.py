@@ -11,9 +11,10 @@ from pmptrain.metrics import accuracy
 from pmptrain.network import (ParamSet, build_model, init_params,
                               triple_norm_sq)
 from pmptrain.regularization import Regularizer
-from pmptrain.trainer import (EPS_MIN, EpsilonController, TrainConfig,
-                              diagnostics, propose_epsilon, run_linesearch,
-                              sample_minibatch, sweeps, train)
+from pmptrain.trainer import (EPS_MIN, EpsilonController, IterationRecord,
+                              TrainConfig, diagnostics, propose_epsilon,
+                              run_linesearch, sample_minibatch, sweeps,
+                              train)
 
 BLOB_ARCH = """
 fc out=16 act=tanh
@@ -137,6 +138,14 @@ def test_config_rejects_bad_values():
             TrainConfig(**kwargs)
 
 
+def test_config_fills_strategy_profile():
+    sqh, ma = TrainConfig(), TrainConfig(strategy="ma")
+    assert (sqh.mu, sqh.zeta, sqh.omega) == (7.0, 0.01, 5)
+    assert (ma.mu, ma.zeta, ma.omega) == (1.1, 1.0, 5)
+    explicit = TrainConfig(strategy="ma", mu=1.5, zeta=0.5, omega=2)
+    assert (explicit.mu, explicit.zeta, explicit.omega) == (1.5, 0.5, 2)
+
+
 # ------------------------------------------------------------ line search
 
 def quad_pieces(c, u_vals, target_vals):
@@ -169,13 +178,14 @@ def test_linesearch_quadratic_acceptance_threshold():
     reg = Regularizer("none")
     objective, u, f = quad_pieces(c, [3.0, -1.0, 0.5, 2.0],
                                   [0.0, 0.0, 0.0, 0.0])
-    w, eps, j, evals, j_u, j_w = run_linesearch(
-        objective, f, u, reg, 0.3, mu=2.0, eta=eta, j_max=20)
+    j_u = objective(u)
+    w, eps, j, j_w, step_sq = run_linesearch(
+        objective, f, u, j_u, reg, 0.3, mu=2.0, eta=eta, j_max=20)
     assert j == 2 and eps == 0.3 * 2.0 ** 2
-    assert evals == j + 1
     assert eps >= c / 2.0 + eta
     assert 0.3 * 2.0 < c / 2.0 + eta  # the previous trial really fails
-    assert j_w < j_u
+    assert j_w == objective(w) and j_w < j_u
+    assert step_sq == triple_norm_sq(w, u)
 
 
 def test_linesearch_rejects_epsilon_exactly_at_half_curvature():
@@ -183,9 +193,9 @@ def test_linesearch_rejects_epsilon_exactly_at_half_curvature():
     # strict decrease requirement, so one escalation is needed
     c = 2.0
     objective, u, f = quad_pieces(c, [1.0, 2.0, -3.0, 0.25], [0.0] * 4)
-    w, eps, j, evals, _, _ = run_linesearch(
-        objective, f, u, Regularizer("none"), c / 2.0, mu=7.0, eta=1e-9,
-        j_max=10)
+    w, eps, j, _, _ = run_linesearch(
+        objective, f, u, objective(u), Regularizer("none"), c / 2.0, mu=7.0,
+        eta=1e-9, j_max=10)
     assert j == 1
     assert eps == 7.0 * c / 2.0
 
@@ -199,21 +209,21 @@ def test_linesearch_counts_objective_calls():
         calls[0] += 1
         return objective(p)
 
-    j_u = objective(u)
-    _, _, j, evals, _, _ = run_linesearch(counting, f, u, Regularizer("none"),
-                                          0.3, mu=2.0, eta=1e-9, j_max=20,
-                                          j_u=j_u)
-    assert calls[0] == evals == j + 1
+    _, _, j, _, _ = run_linesearch(counting, f, u, objective(u),
+                                   Regularizer("none"), 0.3, mu=2.0,
+                                   eta=1e-9, j_max=20)
+    assert calls[0] == j + 1
 
 
 def test_linesearch_zero_gradient_is_fixed_point():
     objective, u, _ = quad_pieces(1.0, [0.5, 0.5, 0.5, 0.5], [0.5] * 4)
     zero_f = ParamSet([(np.zeros((1, 1)), np.zeros(1)),
                        (np.zeros((1, 1)), np.zeros(1))])
-    w, eps, j, evals, j_u, j_w = run_linesearch(
-        objective, zero_f, u, Regularizer("none"), 2.0, mu=7.0, eta=1e-9,
-        j_max=5)
-    assert j == 0 and evals == 1
+    j_u = objective(u)
+    w, eps, j, j_w, step_sq = run_linesearch(
+        objective, zero_f, u, j_u, Regularizer("none"), 2.0, mu=7.0,
+        eta=1e-9, j_max=5)
+    assert j == 0 and step_sq == 0.0
     assert j_w == j_u
     for (ww, wb), (uw, ub) in zip(w.blocks, u.blocks):
         assert np.array_equal(ww, uw) and np.array_equal(wb, ub)
@@ -223,8 +233,8 @@ def test_linesearch_failure_carries_context():
     c = 2.0
     objective, u, f = quad_pieces(c, [3.0, -1.0, 0.5, 2.0], [0.0] * 4)
     with pytest.raises(LineSearchError) as info:
-        run_linesearch(objective, f, u, Regularizer("none"), 1e-6, mu=1.5,
-                       eta=1e12, j_max=4, iteration=17)
+        run_linesearch(objective, f, u, objective(u), Regularizer("none"),
+                       1e-6, mu=1.5, eta=1e12, j_max=4, iteration=17)
     assert info.value.iteration == 17
     assert info.value.j == 4
 
@@ -252,9 +262,8 @@ def test_train_reaches_full_accuracy_on_separated_blobs():
 
 def test_train_rho_zero_step_is_scaled_gradient():
     model, data = small_blob_setup()
-    config = TrainConfig(seed=9, k_max=1, keep_iterates=True)
-    params, log = train(config, model, data)
-    u0, u1 = log.iterates[0], log.iterates[1]
+    u0 = init_params(model, 9)
+    u1, log = train(TrainConfig(seed=9, k_max=1), model, data, params=u0)
     eps = log.records[0].epsilon
 
     _, f = sweeps(model, u0, data.inputs, data.labels, Regularizer())
@@ -275,8 +284,7 @@ def test_train_accounting_totals():
 
 def test_train_bitwise_reproducible():
     model, data = small_blob_setup()
-    config = TrainConfig(seed=77, m_batch=8, k_max=30, mu=1.1,
-                         strategy="ma", zeta=1.0)
+    config = TrainConfig(seed=77, m_batch=8, k_max=30, strategy="ma")
     p_a, log_a = train(config, model, data)
     p_b, log_b = train(config, model, data)
     for (wa, ba), (wb, bb) in zip(p_a.blocks, p_b.blocks):
@@ -289,8 +297,7 @@ def test_train_bitwise_reproducible():
 
 def test_train_minibatch_runs_and_history_smooths():
     model, data = small_blob_setup(n_per_class=40)
-    config = TrainConfig(seed=4, m_batch=16, k_max=30, mu=1.1,
-                         strategy="ma", zeta=1.0)
+    config = TrainConfig(seed=4, m_batch=16, k_max=30, strategy="ma")
     params, log = train(config, model, data)
     assert all(np.isfinite(r.mb_loss_after) for r in log.records)
     assert log.records[-1].epsilon > 0.0
@@ -319,6 +326,30 @@ def test_train_eval_without_test_set_leaves_test_acc_blank():
     assert all(r.full_loss is not None for r in log.records)
 
 
+def test_train_full_batch_eval_loss_is_accepted_trial():
+    model, data = small_blob_setup()
+    reg = Regularizer("l2l0", alpha=0.8, rho=1e-3)
+    _, log = train(TrainConfig(seed=3, k_max=8, eval_every=1, reg=reg),
+                   model, data)
+    assert all(r.full_loss == r.mb_loss_after for r in log.records)
+
+
+def test_train_callback_sees_each_iterate():
+    model, data = small_blob_setup()
+    seen = []
+    u0 = init_params(model, 8)
+    params, log = train(TrainConfig(seed=8, m_batch=16, k_max=6,
+                                    strategy="ma"),
+                        model, data, params=u0,
+                        on_iteration=lambda r, u: seen.append((r, u)))
+    assert [r for r, _ in seen] == log.records
+    assert seen[-1][1] is params
+    prev = u0
+    for record, u in seen:
+        assert record.step_sq == triple_norm_sq(u, prev)
+        prev = u
+
+
 def test_train_with_class_weights_runs():
     model, data = small_blob_setup()
     params, log = train(TrainConfig(seed=6, k_max=5, use_class_weights=True),
@@ -330,39 +361,58 @@ def test_ma_uses_no_more_steps_than_sqh_on_full_batch():
     model, data = small_blob_setup()
     _, log_sqh = train(TrainConfig(seed=12, k_max=40, strategy="sqh"),
                        model, data)
-    _, log_ma = train(TrainConfig(seed=12, k_max=40, strategy="ma", mu=1.1,
-                                  zeta=1.0), model, data)
+    _, log_ma = train(TrainConfig(seed=12, k_max=40, strategy="ma"),
+                      model, data)
     assert log_ma.records[-1].ls_steps_cum <= log_sqh.records[-1].ls_steps_cum
 
 
 # ------------------------------------------------------------ diagnostics
 
+def diag_records(n, step_sq=0.0, epsilon=1e6):
+    return [IterationRecord(k=k, epsilon=epsilon, j=0, mb_loss_before=1.0,
+                            mb_loss_after=1.0, step_sq=step_sq,
+                            ls_steps_cum=k + 1, wall_s=0.0)
+            for k in range(n)]
+
+
 def test_diagnostics_gap_zero_for_full_batch_steps():
     model, data = small_blob_setup()
     reg = Regularizer("elastic-net", alpha=0.8, rho=1e-4)
-    config = TrainConfig(seed=5, k_max=10, reg=reg, keep_iterates=True)
-    _, log = train(config, model, data)
-    delta_h, delta_u = diagnostics(model, log.iterates, data, reg,
-                                   log.records[-1].epsilon)
+    config = TrainConfig(seed=5, k_max=10, reg=reg)
+    iterates = [init_params(model, 5)]
+    _, log = train(config, model, data, params=iterates[0],
+                   on_iteration=lambda r, u: iterates.append(u))
+    delta_h, delta_u = diagnostics(model, iterates[-2], iterates[-1],
+                                   log.records, data, reg)
     assert abs(delta_h) <= 1e-10
+    assert delta_u == sum(triple_norm_sq(b, a) for a, b in
+                          zip(iterates[-7:], iterates[-6:]))
     assert delta_u > 0.0
 
 
 def test_diagnostics_zero_for_stationary_sequence():
     model, data = small_blob_setup()
     params = init_params(model, 0)
-    iterates = [params.copy() for _ in range(7)]
-    # pick eps so the closed-form maximizer stays near params: large eps
-    # means a small exact step, so the gap is small but positive, while
-    # the parameter-change sum is exactly zero
-    _, delta_u = diagnostics(model, iterates, data, Regularizer("none"),
-                             1e6)
+    # large eps means a small exact step, so the gap is small but
+    # positive, while the parameter-change sum is exactly zero
+    _, delta_u = diagnostics(model, params, params.copy(), diag_records(7),
+                             data, Regularizer("none"))
     assert delta_u == 0.0
 
 
-def test_diagnostics_requires_seven_iterates():
+def test_diagnostics_requires_six_records():
     model, data = small_blob_setup()
     params = init_params(model, 0)
     with pytest.raises(InputError):
-        diagnostics(model, [params.copy() for _ in range(6)], data,
-                    Regularizer("none"), 1.0)
+        diagnostics(model, params, params.copy(), diag_records(5), data,
+                    Regularizer("none"))
+
+
+def test_diagnostics_rejects_pair_that_is_not_the_logged_step():
+    model, data = small_blob_setup()
+    u_prev, u_next = init_params(model, 0), init_params(model, 1)
+    records = diag_records(6, step_sq=triple_norm_sq(u_next, u_prev))
+    diagnostics(model, u_prev, u_next, records, data, Regularizer("none"))
+    with pytest.raises(InputError):
+        diagnostics(model, u_prev, u_prev.copy(), records, data,
+                    Regularizer("none"))
