@@ -17,6 +17,17 @@ Conventions:
     are SUMMED over the batch axis, matching their use as sums of
     per-sample adjoint products;
   - an input VJP always has the shape of the input.
+
+Convolution is GEMM-based (im2col). For a chunk of samples, one reused
+column block of shape (m, Ci, kh, kw, OH, OW) is filled by kh*kw strided
+slice copies of the padded input; viewed as (m, K, OH*OW) with
+K = Ci*kh*kw, it feeds one GEMM per sample: the forward kernel (Co, K) @
+columns, the kernel gradient p_n (Co, OH*OW) @ columns^T, and, run the
+other way, the input VJP kernel^T @ p_n followed by the strided adds of
+col2im. The chunk holds as many samples as COLUMN_BLOCK_BYTES allows, so
+memory does not grow with the batch beyond the inputs and outputs. Since
+every GEMM is per sample with the same shape, a sample's result does not
+depend on the chunk size or on how the caller splits the batch.
 """
 
 from __future__ import annotations
@@ -24,11 +35,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, ShapeError
 
 POOL_MODES = ("avg", "max")
+# bytes of one convolution column block (m, Ci, kh, kw, OH, OW): a few
+# samples at a time, so the block stays in cache and memory does not grow
+# with the batch; every GEMM is per sample, so results do not depend on it
+COLUMN_BLOCK_BYTES = 2 << 20
 
 
 def as_tensor(a, name: str = "array") -> np.ndarray:
@@ -125,22 +139,41 @@ def _check_conv_shapes(kernel, x, geom: ConvGeometry):
             f"input has {x.shape[1]} channels, geometry expects {geom.in_channels}")
 
 
-def _pad_hw(x: np.ndarray, pad: int) -> np.ndarray:
-    if pad == 0:
-        return x
-    width = [(0, 0)] * (x.ndim - 2) + [(pad, pad), (pad, pad)]
-    return np.pad(x, width)
+def _column_chunk(geom: ConvGeometry, oh: int, ow: int, n: int) -> int:
+    """Samples per column block for a batch of n: as many as
+    COLUMN_BLOCK_BYTES holds, at most n and at least 1."""
+    per_sample = 8 * geom.in_channels * geom.kernel_h * geom.kernel_w * oh * ow
+    return max(1, min(n, COLUMN_BLOCK_BYTES // per_sample))
 
 
-def _conv_windows(x: np.ndarray, geom: ConvGeometry) -> np.ndarray:
-    """Strided (N, C, OH, OW, kh, kw) view of the padded input."""
-    xp = _pad_hw(x, geom.pad)
-    if xp.shape[-2] < geom.kernel_h or xp.shape[-1] < geom.kernel_w:
-        raise ShapeError(
-            f"kernel {geom.kernel_h}x{geom.kernel_w} larger than padded "
-            f"input {xp.shape[-2]}x{xp.shape[-1]}")
-    win = sliding_window_view(xp, (geom.kernel_h, geom.kernel_w), axis=(-2, -1))
-    return win[..., ::geom.stride, ::geom.stride, :, :]
+def _tap(a: np.ndarray, ky: int, kx: int, oh: int, ow: int, s: int):
+    """The (OH, OW) strided view of a's last two axes that kernel tap (ky, kx) reads."""
+    return a[..., ky:ky + s * (oh - 1) + 1:s, kx:kx + s * (ow - 1) + 1:s]
+
+
+def _column_blocks(x: np.ndarray, geom: ConvGeometry, oh: int, ow: int):
+    """Yield (i, cols): the (m, Ci*kh*kw, OH*OW) columns of samples x[i:i+m].
+
+    cols[n, (ci, ky, kx), (oy, ox)] = padded x[i+n, ci, oy*s + ky, ox*s + kx].
+    One buffer is filled by kh*kw strided slice copies per chunk and reused,
+    so the caller must be done with a block before asking for the next.
+    """
+    n, ci, h, w = x.shape
+    kh, kw, s, pad = geom.kernel_h, geom.kernel_w, geom.stride, geom.pad
+    m = _column_chunk(geom, oh, ow, n)
+    cols = np.empty((m, ci, kh, kw, oh, ow))
+    if pad:
+        xp = np.zeros((m, ci, h + 2 * pad, w + 2 * pad))  # borders stay zero
+    for i in range(0, n, m):
+        c = cols[:min(m, n - i)]
+        src = x[i:i + m]
+        if pad:
+            xp[:len(c), :, pad:pad + h, pad:pad + w] = src
+            src = xp[:len(c)]
+        for ky in range(kh):
+            for kx in range(kw):
+                c[:, :, ky, kx] = _tap(src, ky, kx, oh, ow, s)
+        yield i, c.reshape(len(c), ci * kh * kw, oh * ow)
 
 
 def conv2d(kernel: np.ndarray, bias: np.ndarray, x: np.ndarray,
@@ -149,6 +182,8 @@ def conv2d(kernel: np.ndarray, bias: np.ndarray, x: np.ndarray,
 
     kernel: (C_out, C_in, kh, kw); x: (C_in, H, W) or (N, C_in, H, W).
     Equals the explicit Toeplitz-matrix product on the flattened input.
+    Each sample's output is one GEMM, kernel (Co, K) @ columns (K, OH*OW),
+    written straight into the NCHW result.
     """
     kernel = np.asarray(kernel, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
@@ -158,19 +193,33 @@ def conv2d(kernel: np.ndarray, bias: np.ndarray, x: np.ndarray,
     if bias.shape != (geom.out_channels,):
         raise ShapeError(
             f"bias shape {bias.shape} does not match out_channels {geom.out_channels}")
-    win = _conv_windows(xb, geom)  # (N, Ci, OH, OW, kh, kw)
-    out = np.tensordot(win, kernel, axes=((1, 4, 5), (1, 2, 3)))  # (N, OH, OW, Co)
-    out = np.ascontiguousarray(np.moveaxis(out, 3, 1)) + bias[:, None, None]
+    oh, ow = geom.out_hw(*xb.shape[2:])
+    co = geom.out_channels
+    k2 = kernel.reshape(co, -1)
+    out = np.empty((xb.shape[0], co, oh * ow))
+    for i, cols in _column_blocks(xb, geom, oh, ow):
+        o = out[i:i + len(cols)]
+        np.matmul(k2, cols, out=o)
+        o += bias[:, None]
+    out = out.reshape(-1, co, oh, ow)
     return out if batched else out[0]
 
 
 def _conv_param_grads(x: np.ndarray, p: np.ndarray, geom: ConvGeometry):
     """(kernel_grad, bias_grad) of <p, conv2d(., b, x)>, batch-summed.
 
-    x is a batch (N, Ci, H, W) and p its adjoint (N, Co, OH, OW).
+    x is a batch (N, Ci, H, W) and p its adjoint (N, Co, OH, OW). Each
+    sample contributes p_n (Co, OH*OW) @ columns_n^T; the N blocks are
+    summed once at the end, so no sum depends on the chunking.
     """
-    win = _conv_windows(x, geom)  # (N, Ci, OH, OW, kh, kw)
-    kernel_grad = np.tensordot(p, win, axes=((0, 2, 3), (0, 2, 3)))
+    n, co, oh, ow = p.shape
+    blocks = np.empty((n, co, geom.in_channels * geom.kernel_h * geom.kernel_w))
+    pf = p.reshape(n, co, oh * ow)
+    for i, cols in _column_blocks(x, geom, oh, ow):
+        np.matmul(pf[i:i + len(cols)], cols.transpose(0, 2, 1),
+                  out=blocks[i:i + len(cols)])
+    kernel_grad = blocks.sum(axis=0).reshape(co, geom.in_channels,
+                                             geom.kernel_h, geom.kernel_w)
     bias_grad = p.sum(axis=(0, 2, 3))
     return kernel_grad, bias_grad
 
@@ -179,24 +228,32 @@ def _conv_input_vjp(kernel: np.ndarray, p: np.ndarray, in_hw: tuple[int, int],
                     geom: ConvGeometry) -> np.ndarray:
     """Input VJP of conv2d for a batched adjoint p of shape (N, Co, OH, OW).
 
-    Scatter-adds the kernel-weighted adjoint back onto the padded input,
-    one strided slice add per kernel offset.
+    Per sample, kernel^T (K, Co) @ p_n (Co, OH*OW) gives a column block,
+    which is scatter-added back onto the padded input (col2im), one
+    strided slice add per kernel offset.
     """
-    oh, ow = p.shape[2], p.shape[3]
-    col = np.tensordot(p, kernel, axes=((1,), (0,)))  # (N, OH, OW, Ci, kh, kw)
-    col = np.moveaxis(col, 3, 1)  # (N, Ci, OH, OW, kh, kw)
-    n = p.shape[0]
-    hpad, wpad = in_hw[0] + 2 * geom.pad, in_hw[1] + 2 * geom.pad
-    xg = np.zeros((n, geom.in_channels, hpad, wpad))
-    s = geom.stride
-    for ky in range(geom.kernel_h):
-        for kx in range(geom.kernel_w):
-            xg[:, :, ky:ky + s * (oh - 1) + 1:s,
-               kx:kx + s * (ow - 1) + 1:s] += col[:, :, :, :, ky, kx]
-    if geom.pad:
-        xg = xg[:, :, geom.pad:geom.pad + in_hw[0],
-                geom.pad:geom.pad + in_hw[1]]
-    return np.ascontiguousarray(xg)
+    n, co, oh, ow = p.shape
+    ci, kh, kw, s, pad = (geom.in_channels, geom.kernel_h, geom.kernel_w,
+                          geom.stride, geom.pad)
+    h, w = in_hw
+    kt = kernel.reshape(co, -1).T
+    pf = p.reshape(n, co, oh * ow)
+    m = _column_chunk(geom, oh, ow, n)
+    cols = np.empty((m, ci * kh * kw, oh * ow))
+    xg = np.empty((m, ci, h + 2 * pad, w + 2 * pad))
+    out = np.empty((n, ci, h, w))
+    for i in range(0, n, m):
+        c = cols[:min(m, n - i)]
+        g = xg[:len(c)]
+        np.matmul(kt, pf[i:i + m], out=c)
+        c6 = c.reshape(len(c), ci, kh, kw, oh, ow)
+        g.fill(0.0)
+        for ky in range(kh):
+            for kx in range(kw):
+                tap = _tap(g, ky, kx, oh, ow, s)
+                tap += c6[:, :, ky, kx]
+        out[i:i + len(c)] = g[:, :, pad:pad + h, pad:pad + w]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,9 @@ from .regularization import Regularizer, reg_value
 
 FC_ACTS = ("tanh", "relu", "identity")
 CONV_ACTS = ("tanh", "relu")
-# samples per output-only forward: bounds the conv-window copies of a big
+# samples per output-only forward: bounds the layer activations of a big
 # evaluation set, while a 600-image batch or a 1,000-image split stays whole
+# (the conv kernels' column blocks are bounded on their own, in kernels.py)
 FORWARD_CHUNK = 1024
 
 
@@ -361,7 +362,7 @@ def _forward(model: Model, params: ParamSet, inputs: np.ndarray,
         if keep:
             fin_cache.append(fin)
             act_cache.append(a_full)
-        del a_full  # unless cached, free it before the affine map's windows
+        del a_full  # unless cached, free it before the affine map's output
         w, b = params.blocks[l]
         current = _affine_layer(spec, w, b, fin)
         if not np.all(np.isfinite(current)):
@@ -378,7 +379,7 @@ def forward_logits(model: Model, params: ParamSet,
                    inputs: np.ndarray) -> np.ndarray:
     """Network output only, evaluated FORWARD_CHUNK samples at a time.
 
-    Chunking caps the transient memory of the convolution windows. Every
+    Chunking caps the transient memory of the layer activations. Every
     output-only evaluation takes this one path, so objective values that
     are compared bit for bit are summed in the same order.
     """

@@ -23,6 +23,7 @@ cost; sqh probes for the smallest workable eps every iteration.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, class_weights
-from .errors import InputError, LineSearchError
+from .errors import InputError, LineSearchError, NumericOverflowError
 from .hamiltonian import hamiltonian_gap, update_params
 from .metrics import accuracy, sparsity_pct
 from .network import (Model, ParamSet, backward_sweep, batch_objective,
@@ -170,12 +171,17 @@ def run_linesearch(objective, f, u: ParamSet, j_u: float, reg: Regularizer,
 
     objective maps a ParamSet to the scalar J it is searched on, and j_u
     is its value at u; trial j costs exactly one call, so an accepted
-    search made j + 1. Returns (w, eps, j, J(w), |||w - u|||).
+    search made j + 1. A trial whose forward pass overflows counts as
+    J(w) = +inf: it is rejected and eps escalates like any other.
+    Returns (w, eps, j, J(w), |||w - u|||).
     """
     for j in range(j_max + 1):
         eps = (mu ** j) * eps_hat
         w = update_params(f, u, reg, eps)
-        j_w = objective(w)
+        try:
+            j_w = objective(w)
+        except NumericOverflowError:
+            j_w = math.inf
         step_sq = triple_norm_sq(w, u)
         if j_w - j_u <= -eta * step_sq:
             return w, eps, j, j_w, step_sq

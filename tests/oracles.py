@@ -89,6 +89,41 @@ def window_mean_pool(x):
     return win.mean(axis=(-2, -1))
 
 
+def _conv_windows(x, geom):
+    """Strided (N, C, OH, OW, kh, kw) view of the zero-padded input."""
+    pad = geom.pad
+    xp = np.pad(x, [(0, 0), (0, 0), (pad, pad), (pad, pad)])
+    win = sliding_window_view(xp, (geom.kernel_h, geom.kernel_w), axis=(-2, -1))
+    return win[..., ::geom.stride, ::geom.stride, :, :]
+
+
+def window_conv2d(kernel, bias, x, geom):
+    """Batched conv2d as one tensordot over sliding windows."""
+    out = np.tensordot(_conv_windows(x, geom), kernel,
+                       axes=((1, 4, 5), (1, 2, 3)))  # (N, OH, OW, Co)
+    return np.ascontiguousarray(np.moveaxis(out, 3, 1)) + bias[:, None, None]
+
+
+def window_conv2d_grads(kernel, x, p, geom):
+    """(input VJP, kernel_grad, bias_grad) of <p, conv2d> over sliding windows.
+
+    The parameter gradients are one tensordot of p with the windows; the
+    input VJP scatter-adds tensordot(p, kernel) back, one strided slice add
+    per kernel offset, and crops the padding.
+    """
+    n, _, oh, ow = p.shape
+    kernel_grad = np.tensordot(p, _conv_windows(x, geom),
+                               axes=((0, 2, 3), (0, 2, 3)))
+    col = np.moveaxis(np.tensordot(p, kernel, axes=((1,), (0,))), 3, 1)
+    h, w, pad, s = x.shape[2], x.shape[3], geom.pad, geom.stride
+    xg = np.zeros((n, geom.in_channels, h + 2 * pad, w + 2 * pad))
+    for ky in range(geom.kernel_h):
+        for kx in range(geom.kernel_w):
+            xg[:, :, ky:ky + s * (oh - 1) + 1:s,
+               kx:kx + s * (ow - 1) + 1:s] += col[:, :, :, :, ky, kx]
+    return xg[:, :, pad:pad + h, pad:pad + w], kernel_grad, p.sum(axis=(0, 2, 3))
+
+
 def argmax_route_pool(x, p):
     """(max pooling of x, VJP of <p, max pooling>) by first-argmax routing.
 

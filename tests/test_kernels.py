@@ -4,14 +4,18 @@ The VJPs under test are the ones the sweeps call; the fully-connected VJPs,
 which live inline in the sweeps, are reached through a two-layer identity
 stack. Oracles used here are independent of the implementation:
   - central finite differences of <p, f(x)> for every VJP;
-  - an explicit Toeplitz matrix assembled by index arithmetic for conv2d.
+  - an explicit Toeplitz matrix assembled by index arithmetic for conv2d;
+  - the sliding-window tensordot convolution and its grads.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from oracles import (argmax_route_pool, fd_grad, rel_err, toeplitz_matrix,
-                     window_mean_pool)
+                     window_conv2d, window_conv2d_grads, window_mean_pool)
 
+from pmptrain import kernels
 from pmptrain.errors import InputError, ShapeError
 from pmptrain.kernels import (ConvGeometry, _activate_vjp_from_value,
                               _conv_input_vjp, _conv_param_grads, activate,
@@ -189,6 +193,76 @@ class TestConv2d:
             ConvGeometry(3, 3, 0, 0, 1, 1)
         with pytest.raises(InputError):
             ConvGeometry(3, 3, 1, -1, 1, 1)
+
+
+class TestConvColumnBlocks:
+    """The column-block GEMMs against chunking and the sliding-window oracle."""
+
+    @staticmethod
+    def all_three(k, b, x, p, geom):
+        kg, bg = _conv_param_grads(x, p, geom)
+        return (conv2d(k, b, x, geom),
+                _conv_input_vjp(k, p, x.shape[2:], geom), kg, bg)
+
+    @pytest.mark.parametrize("samples", [1, 3])
+    def test_chunking_is_bitwise_invariant(self, monkeypatch, samples):
+        rng = np.random.default_rng(36)
+        geom = ConvGeometry(3, 3, 2, 1, 2, 3)
+        x = rng.normal(size=(7, 2, 7, 7))
+        k = rng.normal(size=(3, 2, 3, 3))
+        b = rng.normal(size=3)
+        oh, ow = geom.out_hw(7, 7)
+        p = rng.normal(size=(7, 3, oh, ow))
+        want = self.all_three(k, b, x, p, geom)
+        per_sample = 8 * 2 * 3 * 3 * oh * ow
+        monkeypatch.setattr(kernels, "COLUMN_BLOCK_BYTES", samples * per_sample)
+        assert kernels._column_chunk(geom, oh, ow, 7) == samples
+        for got, ref in zip(self.all_three(k, b, x, p, geom), want):
+            np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(conv2d(k, b, x[4], geom), want[0][4])
+        empty = self.all_three(k, b, x[:0], p[:0], geom)
+        assert [e.shape for e in empty] == [(0, 3, oh, ow), (0, 2, 7, 7),
+                                            (3, 2, 3, 3), (3,)]
+        assert not empty[2].any()
+
+    @pytest.mark.parametrize("geom,hw", [
+        (ConvGeometry(5, 5, 1, 2, 1, 6), 28),
+        (ConvGeometry(5, 5, 1, 0, 6, 16), 14)], ids=["lenet-l0", "lenet-l1"])
+    def test_matches_window_oracle(self, geom, hw):
+        rng = np.random.default_rng(37)
+        n = 40  # several default-sized chunks at both geometries
+        x = rng.normal(size=(n, geom.in_channels, hw, hw))
+        k = rng.normal(size=(geom.out_channels, geom.in_channels, 5, 5))
+        b = rng.normal(size=geom.out_channels)
+        p = rng.normal(size=(n, geom.out_channels) + geom.out_hw(hw, hw))
+        assert kernels._column_chunk(geom, *geom.out_hw(hw, hw), n) < n
+        want = (window_conv2d(k, b, x, geom),) + window_conv2d_grads(k, x, p, geom)
+        for got, ref in zip(self.all_three(k, b, x, p, geom), want):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    def test_memory_does_not_grow_with_batch(self):
+        # at LeNet layer 0 a whole-batch window copy is 94 MB at N=600; the
+        # column blocks keep the working set to a few blocks (the per-sample
+        # kernel-gradient blocks add N*Co*K*8 B, 0.6 MB at N=512)
+        geom = ConvGeometry(5, 5, 1, 2, 1, 6)
+        rng = np.random.default_rng(38)
+        k = rng.normal(size=(6, 1, 5, 5))
+        b = rng.normal(size=6)
+        bound = 3 * kernels.COLUMN_BLOCK_BYTES
+        for n in (64, 512):
+            x = rng.normal(size=(n, 1, 28, 28))
+            p = rng.normal(size=(n, 6, 28, 28))
+            for call in (lambda: (conv2d(k, b, x, geom),),
+                         lambda: _conv_param_grads(x, p, geom)):
+                tracemalloc.start()
+                try:
+                    out = call()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                kept = sum(a.nbytes for a in out)
+                assert peak - kept <= bound, \
+                    f"N={n}: {(peak - kept) / 2**20:.1f} MiB beyond the outputs"
 
 
 class TestPool:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pmptrain.data import synthetic_blobs
-from pmptrain.errors import InputError, LineSearchError
+from pmptrain.errors import InputError, LineSearchError, NumericOverflowError
 from pmptrain.metrics import accuracy
 from pmptrain.network import (ParamSet, build_model, init_params,
                               triple_norm_sq)
@@ -237,6 +237,43 @@ def test_linesearch_failure_carries_context():
                        1e-6, mu=1.5, eta=1e12, j_max=4, iteration=17)
     assert info.value.iteration == 17
     assert info.value.j == 4
+
+
+def overflowing(objective, trials):
+    """objective that raises NumericOverflowError on the given call numbers."""
+    calls = [0]
+
+    def wrapped(p):
+        calls[0] += 1
+        if calls[0] - 1 in trials:
+            raise NumericOverflowError(1)
+        return objective(p)
+    return wrapped, calls
+
+
+def test_linesearch_overflowing_trial_is_rejected():
+    # the quadratic would accept at j=0 (eps 4 >= c/2); the overflow at
+    # j=0 counts as J = +inf, so the search escalates once
+    c = 2.0
+    objective, u, f = quad_pieces(c, [3.0, -1.0, 0.5, 2.0], [0.0] * 4)
+    wrapped, calls = overflowing(objective, {0})
+    w, eps, j, j_w, _ = run_linesearch(
+        wrapped, f, u, objective(u), Regularizer("none"), 4.0, mu=1.5,
+        eta=1e-9, j_max=5)
+    assert j == 1 and eps == 1.5 * 4.0
+    assert calls[0] == 2 and j_w == objective(w)
+
+
+def test_linesearch_overflowing_every_trial_fails_with_context():
+    objective, u, f = quad_pieces(2.0, [3.0, -1.0, 0.5, 2.0], [0.0] * 4)
+    wrapped, calls = overflowing(objective, set(range(5)))
+    with pytest.raises(LineSearchError) as info:
+        run_linesearch(wrapped, f, u, objective(u), Regularizer("none"),
+                       4.0, mu=1.5, eta=1e-9, j_max=4, iteration=3)
+    assert calls[0] == 5
+    assert info.value.j == 4 and info.value.iteration == 3
+    assert info.value.j_trial == np.inf
+    assert info.value.epsilon == 1.5 ** 4 * 4.0
 
 
 # ------------------------------------------------------------- full runs
