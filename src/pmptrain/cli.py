@@ -7,7 +7,12 @@ Subcommands:
     pmptrain proxcheck [n]               check the closed-form layer update
     pmptrain eval <config> <params>      score a saved parameter snapshot
 
-The config is flat `key = value` text, one pair per line, `#` comments.
+The config is flat `key = value` UTF-8 text, one pair per line, `#`
+comments. TRAIN_KEYS and REG_KEYS map keys to `TrainConfig` and
+`Regularizer` fields; a key left out keeps the field's default. Every
+value goes through one typed reader, so a malformed, out-of-range or
+undecodable input ends in a ConfigError naming its key or data option
+(architecture text in a ParseError or ShapeError naming its line).
 Relative paths resolve against the config file's directory. Verbosity is
 set with PMPTRAIN_LOG=quiet|info|debug (default info).
 """
@@ -24,23 +29,43 @@ import numpy as np
 
 from .data import Dataset, load_idx, synthetic_blobs
 from .digits import synthetic_digits
-from .errors import ConfigError, PmpTrainError
+from .errors import ConfigError, InputError, PmpTrainError
 from .hamiltonian import layer_update
 from .metrics import accuracy, confusion, sparsity_pct
 from .network import (Model, batch_objective, build_model, init_params,
                       param_shapes)
-from .regularization import REG_KINDS, Regularizer
+from .regularization import Regularizer
 from .runlog import CsvLogger, load_params, save_params, summarize
 from .trainer import TrainConfig, sweeps, train
 
 LOG = logging.getLogger("pmptrain")
 
-CONFIG_KEYS = frozenset((
-    "seed", "arch", "data", "train_images", "train_labels", "test_images",
-    "test_labels", "m", "M", "k_max", "eps0", "mu", "eta", "strategy",
-    "zeta", "omega", "rho", "alpha", "reg_kind", "include_bias",
-    "eval_every", "out_dir", "use_class_weights",
-))
+# config key -> (field, type); omitted keys keep the dataclass defaults
+TRAIN_KEYS = {
+    "seed": ("seed", int), "M": ("m_batch", int), "k_max": ("k_max", int),
+    "eps0": ("eps0", float), "mu": ("mu", float), "eta": ("eta", float),
+    "strategy": ("strategy", str), "zeta": ("zeta", float),
+    "omega": ("omega", int), "eval_every": ("eval_every", int),
+    "use_class_weights": ("use_class_weights", bool),
+}
+REG_KEYS = {
+    "reg_kind": ("kind", str), "alpha": ("alpha", float),
+    "rho": ("rho", float), "include_bias": ("include_bias", bool),
+}
+IDX_KEYS = frozenset(("train_images", "train_labels", "test_images",
+                      "test_labels", "m"))
+CONFIG_KEYS = (frozenset(TRAIN_KEYS) | frozenset(REG_KEYS) | IDX_KEYS
+               | {"arch", "data", "out_dir"})
+# data source -> option -> (type, default); a None default is required
+SOURCES = {
+    "blobs": {"seed": (int, 0), "n_per_class": (int, None), "m": (int, 2),
+              "dim": (int, 2), "separation": (float, 3.0),
+              "test_per_class": (int, 0)},
+    "digits": {"seed": (int, 0), "train_per_class": (int, None),
+               "test_per_class": (int, 0)},
+}
+_BOOLS = {"true": True, "1": True, "yes": True,
+          "false": False, "0": False, "no": False}
 
 
 @dataclass
@@ -54,14 +79,17 @@ class RunSetup:
     out_dir: str
 
 
-def _parse_pairs(path) -> dict[str, str]:
+def _read_text(path, what: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _parse_pairs(path) -> dict[str, str]:
     pairs: dict[str, str] = {}
-    for no, line in enumerate(lines, start=1):
+    for no, line in enumerate(_read_text(path, "config").splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -80,81 +108,73 @@ def _parse_pairs(path) -> dict[str, str]:
     return pairs
 
 
-def _want(pairs, key, cast, default):
-    if key not in pairs:
-        return default
-    raw = pairs[key]
+def _typed(what: str, raw: str, type_):
+    """raw read as type_ (int, float, str or bool), or a ConfigError naming what."""
     try:
-        if cast is bool:
-            low = raw.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        return cast(raw)
-    except ValueError:
-        raise ConfigError(f"key {key!r}: cannot read {raw!r} as {cast.__name__}")
+        if type_ is bool:
+            return _BOOLS[raw.lower()]
+        return type_(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{what}: cannot read {raw!r} as {type_.__name__}") from None
 
 
-def _synthetic_options(key, text) -> dict[str, str]:
+def _fields(pairs, table) -> dict:
+    """Keyword arguments for the keys of `table` present in `pairs`."""
+    return {field: _typed(f"key {key!r}", pairs[key], type_)
+            for key, (field, type_) in table.items() if key in pairs}
+
+
+def _synthetic_options(kind, text) -> dict[str, str]:
     out = {}
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         if "=" not in part:
-            raise ConfigError(f"key 'data': bad option {part!r} in {key} source")
+            raise ConfigError(f"key 'data': bad option {part!r} in {kind} source")
         k, v = part.split("=", 1)
-        out[k.strip()] = v.strip()
+        k = k.strip()
+        if k in out:
+            raise ConfigError(f"key 'data': duplicate option {k!r}")
+        out[k] = v.strip()
     return out
 
 
 def _build_synthetic(value: str) -> tuple[Dataset, Dataset | None]:
     kind, _, rest = value.partition(":")
+    if kind not in SOURCES:
+        raise ConfigError(f"unknown data source {kind!r} (use blobs: or digits:)")
     opts = _synthetic_options(kind, rest)
-
-    def pop_int(name, default=None):
+    spec = SOURCES[kind]
+    unknown = sorted(set(opts) - set(spec))
+    if unknown:
+        raise ConfigError(f"data source {kind}: unknown options {unknown}")
+    args = {}
+    for name, (type_, default) in spec.items():
         if name in opts:
-            return int(opts.pop(name))
-        if default is None:
+            args[name] = _typed(f"data option {name!r}", opts[name], type_)
+        elif default is None:
             raise ConfigError(f"data source {kind!r} needs {name}=")
-        return default
-
+        else:
+            args[name] = default
+    seed, n_test = args.pop("seed"), args.pop("test_per_class")
     if kind == "blobs":
-        seed = pop_int("seed", 0)
-        n_per_class = pop_int("n_per_class")
-        m = pop_int("m", 2)
-        dim = pop_int("dim", 2)
-        separation = float(opts.pop("separation", 3.0))
-        test_per_class = pop_int("test_per_class", 0)
-        if opts:
-            raise ConfigError(f"data source blobs: unknown options {sorted(opts)}")
-        train = synthetic_blobs(seed, n_per_class, m, dim, separation,
-                                split="train")
-        test = None
-        if test_per_class:
-            test = synthetic_blobs(seed + 1, test_per_class, m, dim,
-                                   separation, split="test")
-        return train, test
-    if kind == "digits":
-        seed = pop_int("seed", 0)
-        train_per_class = pop_int("train_per_class")
-        test_per_class = pop_int("test_per_class", 0)
-        if opts:
-            raise ConfigError(f"data source digits: unknown options {sorted(opts)}")
-        train = synthetic_digits(seed, train_per_class, split="train")
-        test = None
-        if test_per_class:
-            test = synthetic_digits(seed + 1, test_per_class, split="test")
-        return train, test
-    raise ConfigError(f"unknown data source {kind!r} (use blobs: or digits:)")
+        make, n_train = synthetic_blobs, args.pop("n_per_class")
+    else:
+        make, n_train = synthetic_digits, args.pop("train_per_class")
+    try:
+        train = make(seed, n_train, split="train", **args)
+        test = make(seed + 1, n_test, split="test", **args) if n_test else None
+    except InputError as exc:
+        raise ConfigError(f"key 'data': {exc}") from exc
+    return train, test
 
 
 def _load_data(pairs, base_dir) -> tuple[Dataset, Dataset | None]:
-    has_files = "train_images" in pairs or "train_labels" in pairs
-    if "data" in pairs and has_files:
-        raise ConfigError("give either data= or train_images/train_labels, not both")
+    idx_keys = sorted(IDX_KEYS & set(pairs))
+    if "data" in pairs and idx_keys:
+        raise ConfigError(f"give either data= or IDX files, not both "
+                          f"(got data= and {', '.join(idx_keys)})")
     if "data" in pairs:
         return _build_synthetic(pairs["data"])
     if not ("train_images" in pairs and "train_labels" in pairs):
@@ -163,7 +183,7 @@ def _load_data(pairs, base_dir) -> tuple[Dataset, Dataset | None]:
     def resolve(key):
         return os.path.join(base_dir, pairs[key])
 
-    m = _want(pairs, "m", int, None)
+    m = _typed("key 'm'", pairs["m"], int) if "m" in pairs else None
     try:
         train = load_idx(resolve("train_images"), resolve("train_labels"),
                          m=m, split="train")
@@ -187,8 +207,7 @@ def _arch_text(pairs, base_dir) -> str:
     value = pairs["arch"]
     candidate = os.path.join(base_dir, value)
     if os.path.isfile(candidate):
-        with open(candidate, "r", encoding="utf-8") as fh:
-            return fh.read()
+        return _read_text(candidate, "arch file")
     if ";" in value or value.startswith(("conv", "fc")):
         # inline form: layer lines separated by semicolons
         return "\n".join(part.strip() for part in value.split(";"))
@@ -200,36 +219,12 @@ def parse_config(path) -> RunSetup:
     pairs = _parse_pairs(path)
     base_dir = os.path.dirname(os.path.abspath(path))
 
-    reg_kind = pairs.get("reg_kind", "none")
-    if reg_kind not in REG_KINDS:
-        raise ConfigError(f"reg_kind must be one of {REG_KINDS}, got {reg_kind!r}")
+    if pairs.get("M") == "full":  # every sample in each batch: the default
+        del pairs["M"]
     try:
-        reg = Regularizer(kind=reg_kind,
-                          alpha=_want(pairs, "alpha", float, 0.0),
-                          rho=_want(pairs, "rho", float, 0.0),
-                          include_bias=_want(pairs, "include_bias", bool, True))
-    except PmpTrainError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    m_batch_raw = pairs.get("M", "full")
-    m_batch = None if m_batch_raw == "full" else _want(pairs, "M", int, None)
-
-    try:
-        config = TrainConfig(
-            seed=_want(pairs, "seed", int, 0),
-            m_batch=m_batch,
-            k_max=_want(pairs, "k_max", int, 100),
-            eps0=_want(pairs, "eps0", float, 1.0),
-            mu=_want(pairs, "mu", float, None),
-            eta=_want(pairs, "eta", float, 1e-9),
-            strategy=pairs.get("strategy", "sqh"),
-            zeta=_want(pairs, "zeta", float, None),
-            omega=_want(pairs, "omega", int, None),
-            reg=reg,
-            eval_every=_want(pairs, "eval_every", int, 0),
-            use_class_weights=_want(pairs, "use_class_weights", bool, False),
-        )
-    except PmpTrainError as exc:
+        reg = Regularizer(**_fields(pairs, REG_KEYS))
+        config = TrainConfig(reg=reg, **_fields(pairs, TRAIN_KEYS))
+    except InputError as exc:
         raise ConfigError(str(exc)) from exc
 
     train_set, test_set = _load_data(pairs, base_dir)

@@ -120,6 +120,10 @@ def synthetic_blobs(seed: int, n_per_class: int, m: int, dim: int,
         raise InputError(f"need at least 2 classes, got {m}")
     if dim < 1 or n_per_class < 1:
         raise InputError("dim and n_per_class must be >= 1")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
+    if not np.isfinite(separation):
+        raise InputError(f"separation must be finite, got {separation}")
     rng = np.random.default_rng(seed)
     centers = np.zeros((m, dim))
     angles = 2.0 * np.pi * np.arange(m) / m

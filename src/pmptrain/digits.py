@@ -69,6 +69,8 @@ def synthetic_digits(seed: int, n_per_class: int, split: str = "") -> Dataset:
     """Balanced ten-class digit set, shuffled, shapes (N,1,28,28)/(N,10)."""
     if n_per_class < 1:
         raise InputError("n_per_class must be at least 1")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     n = 10 * n_per_class
     images = np.zeros((n, 1, IMAGE_HW, IMAGE_HW))

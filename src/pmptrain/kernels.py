@@ -8,9 +8,8 @@ VJPs are single matrix products and live inline in the sweeps.
 Conventions:
   - dtype is float64 everywhere; inputs are validated and rejected if
     non-finite.
-  - affine and conv2d accept a single sample or a batch with one extra
-    leading axis (vectors become (N, d), images (C, H, W) become
-    (N, C, H, W)); the convolution VJPs take batches only;
+  - affine, conv2d and the convolution VJPs take batches only, with the
+    sample axis first: vectors as (N, d), images as (N, C, H, W);
   - pooling takes non-overlapping 2x2 tiles of the last two axes, which
     must have even sizes; pool and pool_vjp accept any leading axes;
   - gradient outputs that live in parameter space (kernel_grad, bias_grad)
@@ -91,23 +90,12 @@ class ConvGeometry:
         return oh, ow
 
 
-def _batched(x: np.ndarray, sample_ndim: int) -> tuple[np.ndarray, bool]:
-    """Promote a single sample to a batch of one; report whether it was one."""
-    if x.ndim == sample_ndim:
-        return x[None], False
-    if x.ndim == sample_ndim + 1:
-        return x, True
-    raise ShapeError(
-        f"expected {sample_ndim}-d sample or {sample_ndim + 1}-d batch, "
-        f"got ndim={x.ndim}")
-
-
 # ---------------------------------------------------------------------------
 # affine
 
 
 def affine(weight: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """W x + b for a single vector x (n,) or a batch (N, n)."""
+    """W x + b for each row x of a batch (N, n)."""
     weight = np.asarray(weight, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
     if weight.ndim != 2 or bias.ndim != 1 or weight.shape[0] != bias.shape[0]:
@@ -115,13 +103,11 @@ def affine(weight: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.ndarray:
             f"affine expects weight (m,n) and bias (m,), got {weight.shape} "
             f"and {bias.shape}")
     x = np.asarray(x, dtype=np.float64)
-    xb, batched = _batched(x, 1)
-    if xb.shape[1] != weight.shape[1]:
+    if x.ndim != 2 or x.shape[1] != weight.shape[1]:
         raise ShapeError(
-            f"affine input length {xb.shape[1]} does not match weight "
-            f"columns {weight.shape[1]}")
-    out = xb @ weight.T + bias
-    return out if batched else out[0]
+            f"affine expects a batch (N, {weight.shape[1]}) matching the "
+            f"weight columns, got {x.shape}")
+    return x @ weight.T + bias
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +166,7 @@ def conv2d(kernel: np.ndarray, bias: np.ndarray, x: np.ndarray,
            geom: ConvGeometry) -> np.ndarray:
     """2-D cross-correlation with per-output-channel bias.
 
-    kernel: (C_out, C_in, kh, kw); x: (C_in, H, W) or (N, C_in, H, W).
+    kernel: (C_out, C_in, kh, kw); x: (N, C_in, H, W).
     Equals the explicit Toeplitz-matrix product on the flattened input.
     Each sample's output is one GEMM, kernel (Co, K) @ columns (K, OH*OW),
     written straight into the NCHW result.
@@ -188,21 +174,21 @@ def conv2d(kernel: np.ndarray, bias: np.ndarray, x: np.ndarray,
     kernel = np.asarray(kernel, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    xb, batched = _batched(x, 3)
-    _check_conv_shapes(kernel, xb, geom)
+    if x.ndim != 4:
+        raise ShapeError(f"conv2d expects a batch (N, C, H, W), got shape {x.shape}")
+    _check_conv_shapes(kernel, x, geom)
     if bias.shape != (geom.out_channels,):
         raise ShapeError(
             f"bias shape {bias.shape} does not match out_channels {geom.out_channels}")
-    oh, ow = geom.out_hw(*xb.shape[2:])
+    oh, ow = geom.out_hw(*x.shape[2:])
     co = geom.out_channels
     k2 = kernel.reshape(co, -1)
-    out = np.empty((xb.shape[0], co, oh * ow))
-    for i, cols in _column_blocks(xb, geom, oh, ow):
+    out = np.empty((x.shape[0], co, oh * ow))
+    for i, cols in _column_blocks(x, geom, oh, ow):
         o = out[i:i + len(cols)]
         np.matmul(k2, cols, out=o)
         o += bias[:, None]
-    out = out.reshape(-1, co, oh, ow)
-    return out if batched else out[0]
+    return out.reshape(-1, co, oh, ow)
 
 
 def _conv_param_grads(x: np.ndarray, p: np.ndarray, geom: ConvGeometry):

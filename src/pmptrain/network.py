@@ -133,17 +133,21 @@ class Trajectory:
 # architecture mini-language
 
 
-_INT_KEYS = {"out", "k", "stride", "pad"}
 _POOLS = {"avg2": "avg", "max2": "max", "none": None}
+# layer kind -> (its activations, the fields its line may carry)
+_KINDS = {"conv": (CONV_ACTS, ("out", "k", "stride", "pad", "act", "pool")),
+          "fc": (FC_ACTS, ("out", "act"))}
 
 
-def _parse_fields(tokens: list[str], line_no: int) -> dict[str, str]:
+def _parse_fields(tokens: list[str], known, line_no: int) -> dict[str, str]:
     fields = {}
     for tok in tokens:
         m = re.fullmatch(r"([a-z]+)=([A-Za-z0-9]+)", tok)
         if not m:
             raise ParseError(line_no, f"malformed field {tok!r} (expected key=value)")
         key, value = m.group(1), m.group(2)
+        if key not in known:
+            raise ParseError(line_no, f"unknown field {key!r}")
         if key in fields:
             raise ParseError(line_no, f"duplicate field {key!r}")
         fields[key] = value
@@ -155,7 +159,7 @@ def _take_int(fields: dict, key: str, line_no: int, default=None, minimum=1):
         if default is not None:
             return default
         raise ParseError(line_no, f"missing required field {key!r}")
-    raw = fields.pop(key)
+    raw = fields[key]
     if not re.fullmatch(r"\d+", raw):
         raise ParseError(line_no, f"field {key!r} must be a non-negative integer, got {raw!r}")
     value = int(raw)
@@ -164,64 +168,37 @@ def _take_int(fields: dict, key: str, line_no: int, default=None, minimum=1):
     return value
 
 
-@dataclass(frozen=True)
-class _RawLayer:
-    line_no: int
-    kind: str
-    act: str
-    out: int
-    k: int = 0
-    stride: int = 1
-    pad: int = 0
-    pool: str | None = None
-
-
-def _parse_arch(arch_text: str) -> list[_RawLayer]:
-    """Parse the one-layer-per-line description; shapes are checked later."""
-    out: list[_RawLayer] = []
-    for line_no, raw in enumerate(arch_text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        kind, rest = tokens[0], tokens[1:]
-        if kind == "conv":
-            fields = _parse_fields(rest, line_no)
-            out_ch = _take_int(fields, "out", line_no)
-            k = _take_int(fields, "k", line_no)
-            stride = _take_int(fields, "stride", line_no, default=1)
-            pad = _take_int(fields, "pad", line_no, default=0, minimum=0)
-            act = fields.pop("act", None)
-            if act not in CONV_ACTS:
-                raise ParseError(line_no, f"conv act must be one of {CONV_ACTS}, got {act!r}")
-            pool_name = fields.pop("pool", "none")
-            if pool_name not in _POOLS:
-                raise ParseError(line_no, f"pool must be one of {tuple(_POOLS)}, got {pool_name!r}")
-            if fields:
-                raise ParseError(line_no, f"unknown field {next(iter(fields))!r}")
-            out.append(_RawLayer(line_no, "conv", act, out_ch, k=k,
-                                 stride=stride, pad=pad, pool=_POOLS[pool_name]))
-        elif kind == "fc":
-            fields = _parse_fields(rest, line_no)
-            width = _take_int(fields, "out", line_no)
-            act = fields.pop("act", None)
-            if act not in FC_ACTS:
-                raise ParseError(line_no, f"fc act must be one of {FC_ACTS}, got {act!r}")
-            if fields:
-                raise ParseError(line_no, f"unknown field {next(iter(fields))!r}")
-            out.append(_RawLayer(line_no, "fc", act, width))
-        else:
-            raise ParseError(line_no, f"unknown layer kind {kind!r}")
-    if not out:
-        raise ParseError(1, "architecture text contains no layers")
-    return out
+def _conv_layer(fields: dict, line_no: int, act: str, out: int, where: str,
+                shape: tuple[int, ...]) -> tuple[LayerSpec, tuple[int, ...]]:
+    """The conv layer of one line and the per-sample shape it hands on."""
+    k = _take_int(fields, "k", line_no)
+    stride = _take_int(fields, "stride", line_no, default=1)
+    pad = _take_int(fields, "pad", line_no, default=0, minimum=0)
+    pool_name = fields.get("pool", "none")
+    if pool_name not in _POOLS:
+        raise ParseError(line_no, f"pool must be one of {tuple(_POOLS)}, got {pool_name!r}")
+    if len(shape) != 3:
+        raise ShapeError(f"{where}: conv needs (C, H, W) input, got flat width {shape[0]}")
+    geom = ConvGeometry(k, k, stride, pad, in_channels=shape[0], out_channels=out)
+    try:
+        oh, ow = geom.out_hw(shape[1], shape[2])
+    except ShapeError as exc:
+        raise ShapeError(f"{where}: {exc}") from None
+    spec = LayerSpec(kind="conv", act=act, geom=geom, pool=_POOLS[pool_name])
+    if spec.pool is None:
+        return spec, (out, oh, ow)
+    if oh % 2 or ow % 2:
+        raise ShapeError(f"{where}: 2x2 pooling needs an even conv output, got {oh}x{ow}")
+    return spec, (out, oh // 2, ow // 2)
 
 
 def build_model(arch_text: str, input_shape) -> Model:
     """Parse and shape-check an architecture against an input shape.
 
     input_shape is (channels, height, width) for image input or a flat
-    length for vector input.
+    length for vector input. Each line is parsed and shape-checked before
+    the next is read, so of several errors the first in line order is
+    the one raised.
     """
     if isinstance(input_shape, int):
         input_shape = (input_shape,)
@@ -229,46 +206,37 @@ def build_model(arch_text: str, input_shape) -> Model:
     if len(input_shape) not in (1, 3) or any(d < 1 for d in input_shape):
         raise InputError(f"input shape must be (d,) or (C, H, W), got {input_shape}")
 
-    parsed = _parse_arch(arch_text)
-    last = parsed[-1]
-    if last.kind != "fc" or last.act != "identity" or last.pool:
-        raise ParseError(last.line_no, "final layer must be `fc ... act=identity` "
-                                       "(linear output layer)")
-    if last.out < 2:
-        raise ParseError(last.line_no, "output width (class count) must be >= 2")
-
     layers: list[LayerSpec] = []
     fin_shapes: list[tuple[int, ...]] = []
     shape = input_shape  # per-sample shape of f_{l-1}(xt_l)
-    for idx, raw in enumerate(parsed):
+    for line_no, raw in enumerate(arch_text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        kind, *tokens = line.split()
+        if kind not in _KINDS:
+            raise ParseError(line_no, f"unknown layer kind {kind!r}")
+        acts, known = _KINDS[kind]
+        fields = _parse_fields(tokens, known, line_no)
+        out = _take_int(fields, "out", line_no)
+        act = fields.get("act")
+        if act not in acts:
+            raise ParseError(line_no, f"{kind} act must be one of {acts}, got {act!r}")
         fin_shapes.append(shape)
-        if raw.kind == "conv":
-            if len(shape) != 3:
-                raise ShapeError(
-                    f"layer {idx} (line {raw.line_no}): conv needs (C, H, W) "
-                    f"input, got flat width {shape[0]}")
-            geom = ConvGeometry(raw.k, raw.k, raw.stride, raw.pad,
-                                in_channels=shape[0], out_channels=raw.out)
-            try:
-                oh, ow = geom.out_hw(shape[1], shape[2])
-            except ShapeError as exc:
-                raise ShapeError(f"layer {idx} (line {raw.line_no}): {exc}") from None
-            spec = LayerSpec(kind="conv", act=raw.act, geom=geom, pool=raw.pool)
-            out_shape = (geom.out_channels, oh, ow)
+        if kind == "conv":
+            where = f"layer {len(layers)} (line {line_no})"
+            spec, shape = _conv_layer(fields, line_no, act, out, where, shape)
         else:
-            spec = LayerSpec(kind="fc", act=raw.act, out_width=raw.out)
-            out_shape = (raw.out,)
+            spec, shape = LayerSpec(kind="fc", act=act, out_width=out), (out,)
         layers.append(spec)
-        # shape seen by the NEXT layer: this layer's activation+pooling
-        shape = out_shape
-        if spec.pool is not None:
-            c, h, w = shape
-            if h % 2 or w % 2:
-                raise ShapeError(
-                    f"layer {idx} (line {raw.line_no}): 2x2 pooling needs an "
-                    f"even conv output, got {h}x{w}")
-            shape = (c, h // 2, w // 2)
-
+        last_line = line_no
+    if not layers:
+        raise ParseError(1, "architecture text contains no layers")
+    if layers[-1].kind != "fc" or layers[-1].act != "identity":
+        raise ParseError(last_line, "final layer must be `fc ... act=identity` "
+                                    "(linear output layer)")
+    if layers[-1].out_width < 2:
+        raise ParseError(last_line, "output width (class count) must be >= 2")
     return Model(layers=tuple(layers), m=layers[-1].out_width,
                  input_shape=input_shape, fin_shapes=tuple(fin_shapes))
 

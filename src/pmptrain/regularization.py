@@ -39,8 +39,8 @@ class Regularizer:
             raise InputError(f"unknown regularizer kind {self.kind!r}")
         if not 0.0 <= self.alpha < 1.0:
             raise InputError(f"alpha must be in [0, 1), got {self.alpha}")
-        if self.rho < 0.0:
-            raise InputError(f"rho must be >= 0, got {self.rho}")
+        if not 0.0 <= self.rho < np.inf:
+            raise InputError(f"rho must be finite and >= 0, got {self.rho}")
 
 
 def reg_value(reg: Regularizer, u: np.ndarray) -> float:

@@ -72,12 +72,14 @@ class TrainConfig:
         for key, value in PROFILES[self.strategy].items():
             if getattr(self, key) is None:
                 setattr(self, key, value)
-        if not self.mu > 1.0:
-            raise InputError(f"mu must be > 1, got {self.mu}")
-        if not self.eta > 0.0:
-            raise InputError(f"eta must be > 0, got {self.eta}")
-        if not self.eps0 > 0.0:
-            raise InputError(f"eps0 must be > 0, got {self.eps0}")
+        if not self.seed >= 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
+        if not 1.0 < self.mu < math.inf:
+            raise InputError(f"mu must be finite and > 1, got {self.mu}")
+        if not 0.0 < self.eta < math.inf:
+            raise InputError(f"eta must be finite and > 0, got {self.eta}")
+        if not 0.0 < self.eps0 < math.inf:
+            raise InputError(f"eps0 must be finite and > 0, got {self.eps0}")
         if not 0.0 < self.zeta <= 1.0:
             raise InputError(f"zeta must be in (0, 1], got {self.zeta}")
         if self.omega < 1:

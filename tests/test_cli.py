@@ -7,6 +7,7 @@ from pmptrain import metrics
 from pmptrain.cli import main, parse_config
 from pmptrain.errors import ConfigError
 from pmptrain.runlog import load_params, read_log
+from pmptrain.trainer import TrainConfig
 
 BLOB_CONFIG = """\
 # two separated clusters, tiny net
@@ -141,6 +142,30 @@ def test_parse_config_class_count_mismatch(tmp_path):
     with pytest.raises(ConfigError) as info:
         parse_config(cfg)
     assert "classes" in str(info.value)
+
+
+@pytest.mark.parametrize("extra", ["m = 3", "test_images = t.idx"])
+def test_parse_config_rejects_idx_keys_beside_data(tmp_path, extra):
+    cfg = write_blob_config(tmp_path, BLOB_CONFIG + extra + "\n")
+    with pytest.raises(ConfigError, match=extra.split()[0]):
+        parse_config(cfg)
+
+
+def test_parse_config_omitted_keys_take_library_defaults(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("arch = net.arch\ndata = blobs:n_per_class=5\n",
+                   encoding="utf-8")
+    (tmp_path / "net.arch").write_text(BLOB_ARCH, encoding="utf-8")
+    assert parse_config(cfg).config == TrainConfig()
+
+
+@pytest.mark.parametrize("which", ["config", "arch"])
+def test_parse_config_undecodable_file(tmp_path, which):
+    cfg = write_blob_config(tmp_path)
+    target = cfg if which == "config" else tmp_path / "net.arch"
+    target.write_bytes(b"\xff\xfe" + target.read_bytes())
+    with pytest.raises(ConfigError, match=f"cannot read {which}"):
+        parse_config(cfg)
 
 
 def test_parse_config_rejects_both_data_forms(tmp_path):

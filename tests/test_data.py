@@ -152,6 +152,24 @@ def test_blobs_separation_moves_class_means_apart():
     assert np.linalg.norm(mean0 - mean1) > 10.0
 
 
+@pytest.mark.parametrize("kwargs,match", [
+    ({"seed": -1}, "seed"), ({"separation": np.nan}, "separation"),
+    ({"separation": np.inf}, "separation"),
+    ({"separation": -np.inf}, "separation"), ({"n_per_class": 0}, "n_per_class"),
+    ({"m": 1}, "classes")], ids=str)
+def test_blobs_reject_out_of_range_arguments(kwargs, match):
+    args = {"seed": 0, "n_per_class": 3, "m": 2, "dim": 2, "separation": 1.0}
+    with pytest.raises(InputError, match=match):
+        synthetic_blobs(**{**args, **kwargs})
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"seed": -1}, "seed"), ({"n_per_class": 0}, "n_per_class")], ids=str)
+def test_digits_reject_out_of_range_arguments(kwargs, match):
+    with pytest.raises(InputError, match=match):
+        synthetic_digits(**{"seed": 0, "n_per_class": 1, **kwargs})
+
+
 def test_digits_shapes_and_determinism():
     a = synthetic_digits(seed=5, n_per_class=3)
     b = synthetic_digits(seed=5, n_per_class=3)

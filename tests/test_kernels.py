@@ -68,8 +68,8 @@ class TestAsTensor:
 
 class TestAffine:
     def test_forward_direct(self):
-        out = affine(np.array([[1.0, 2.0]]), np.array([3.0]), np.array([1.0, 1.0]))
-        np.testing.assert_array_equal(out, [6.0])
+        out = affine(np.array([[1.0, 2.0]]), np.array([3.0]), np.array([[1.0, 1.0]]))
+        np.testing.assert_array_equal(out, [[6.0]])
 
     def test_vjp_direct(self):
         w = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -86,9 +86,9 @@ class TestAffine:
             x = rng.normal(size=3)
             p = rng.normal(size=4)
             ivjp, wg, bg = fc_vjp(w, x, p)
-            assert rel_err(ivjp, fd_grad(lambda v: affine(w, b, v), x, p)) <= 1e-8
-            assert rel_err(wg, fd_grad(lambda v: affine(v, b, x), w, p)) <= 1e-8
-            assert rel_err(bg, fd_grad(lambda v: affine(w, v, x), b, p)) <= 1e-8
+            assert rel_err(ivjp, fd_grad(lambda v: affine(w, b, v[None])[0], x, p)) <= 1e-8
+            assert rel_err(wg, fd_grad(lambda v: affine(v, b, x[None])[0], w, p)) <= 1e-8
+            assert rel_err(bg, fd_grad(lambda v: affine(w, v, x[None])[0], b, p)) <= 1e-8
 
     def test_batch_sums_parameter_grads(self):
         rng = np.random.default_rng(8)
@@ -104,9 +104,11 @@ class TestAffine:
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
-            affine(np.ones((2, 3)), np.ones(2), np.ones(4))
+            affine(np.ones((2, 3)), np.ones(2), np.ones((1, 4)))
         with pytest.raises(ShapeError):
-            affine(np.ones((2, 3)), np.ones(3), np.ones(3))
+            affine(np.ones((2, 3)), np.ones(3), np.ones((1, 3)))
+        with pytest.raises(ShapeError):  # a single sample is not a batch
+            affine(np.ones((2, 3)), np.ones(2), np.ones(3))
 
 
 class TestConv2d:
@@ -114,8 +116,8 @@ class TestConv2d:
         geom = ConvGeometry(2, 2, 1, 0, 1, 1)
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
         k = np.array([[[[1.0, 0.0], [0.0, 1.0]]]])
-        out = conv2d(k, np.zeros(1), x, geom)
-        np.testing.assert_array_equal(out, [[[5.0]]])
+        out = conv2d(k, np.zeros(1), x[None], geom)
+        np.testing.assert_array_equal(out, [[[[5.0]]]])
 
     def test_vjp_direct(self):
         geom = ConvGeometry(2, 2, 1, 0, 1, 1)
@@ -136,7 +138,7 @@ class TestConv2d:
         b = rng.normal(size=4)
         t, out_shape = toeplitz_matrix(k, geom.stride, geom.pad, 6, 6)
         want = (t @ x.ravel()).reshape(out_shape) + b[:, None, None]
-        got = conv2d(k, b, x, geom)
+        got = conv2d(k, b, x[None], geom)[0]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_vjp_matches_finite_differences(self):
@@ -148,8 +150,8 @@ class TestConv2d:
         oh, ow = geom.out_hw(6, 6)
         p = rng.normal(size=(3, oh, ow))
         ivjp, kg, bg = conv_vjp(k, x, p, geom)
-        assert rel_err(ivjp, fd_grad(lambda v: conv2d(k, b, v, geom), x, p)) <= 1e-8
-        assert rel_err(kg, fd_grad(lambda v: conv2d(v, b, x, geom), k, p)) <= 1e-8
+        assert rel_err(ivjp, fd_grad(lambda v: conv2d(k, b, v[None], geom)[0], x, p)) <= 1e-8
+        assert rel_err(kg, fd_grad(lambda v: conv2d(v, b, x[None], geom)[0], k, p)) <= 1e-8
         np.testing.assert_allclose(bg, p.sum(axis=(1, 2)), rtol=0, atol=1e-12)
 
     def test_input_vjp_equals_toeplitz_transpose(self):
@@ -170,7 +172,7 @@ class TestConv2d:
         b = rng.normal(size=2)
         out = conv2d(k, b, x, geom)
         for i in range(4):
-            np.testing.assert_allclose(out[i], conv2d(k, b, x[i], geom),
+            np.testing.assert_allclose(out[i], conv2d(k, b, x[i:i + 1], geom)[0],
                                        rtol=0, atol=0)
         p = rng.normal(size=out.shape)
         kg, bg = _conv_param_grads(x, p, geom)
@@ -186,9 +188,11 @@ class TestConv2d:
     def test_shape_errors(self):
         geom = ConvGeometry(3, 3, 1, 0, 2, 4)
         with pytest.raises(ShapeError):
-            conv2d(np.zeros((4, 2, 3, 3)), np.zeros(4), np.zeros((3, 6, 6)), geom)
+            conv2d(np.zeros((4, 2, 3, 3)), np.zeros(4), np.zeros((1, 3, 6, 6)), geom)
         with pytest.raises(ShapeError):
-            conv2d(np.zeros((4, 2, 3, 3)), np.zeros(4), np.zeros((2, 2, 2)), geom)
+            conv2d(np.zeros((4, 2, 3, 3)), np.zeros(4), np.zeros((1, 2, 2, 2)), geom)
+        with pytest.raises(ShapeError):  # a single sample is not a batch
+            conv2d(np.zeros((4, 2, 3, 3)), np.zeros(4), np.zeros((2, 6, 6)), geom)
         with pytest.raises(InputError):
             ConvGeometry(3, 3, 0, 0, 1, 1)
         with pytest.raises(InputError):
@@ -219,7 +223,7 @@ class TestConvColumnBlocks:
         assert kernels._column_chunk(geom, oh, ow, 7) == samples
         for got, ref in zip(self.all_three(k, b, x, p, geom), want):
             np.testing.assert_array_equal(got, ref)
-        np.testing.assert_array_equal(conv2d(k, b, x[4], geom), want[0][4])
+        np.testing.assert_array_equal(conv2d(k, b, x[4:5], geom), want[0][4:5])
         empty = self.all_three(k, b, x[:0], p[:0], geom)
         assert [e.shape for e in empty] == [(0, 3, oh, ow), (0, 2, 7, 7),
                                             (3, 2, 3, 3), (3,)]

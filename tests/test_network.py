@@ -108,6 +108,21 @@ class TestBuildModel:
         with pytest.raises(ParseError):
             build_model("", 5)
 
+    def test_errors_come_in_line_order(self):
+        # the shape error on line 2 is raised before line 5 is read
+        text = ("fc out=10 act=tanh\nconv out=2 k=3 act=tanh\n"
+                "fc out=4 act=tanh\n\nfc out=2 act=identity bogus=1")
+        with pytest.raises(ShapeError, match=r"layer 1 \(line 2\)"):
+            build_model(text, 784)
+        with pytest.raises(ParseError) as err:
+            build_model(text.replace("conv out=2 k=3", "fc out=2"), 784)
+        assert err.value.line_no == 5
+
+    def test_final_layer_error_names_its_line(self):
+        with pytest.raises(ParseError) as err:
+            build_model("fc out=4 act=tanh\nfc out=3 act=relu\n# end\n\n", 5)
+        assert err.value.line_no == 2
+
     def test_rejects_single_class_output(self):
         with pytest.raises(ParseError):
             build_model("fc out=1 act=identity", 5)

@@ -58,6 +58,12 @@ class TestRegValue:
             Regularizer("lasso")
 
 
+@pytest.mark.parametrize("rho", [np.nan, np.inf, -np.inf, -1.0])
+def test_rejects_rho_that_is_negative_or_not_finite(rho):
+    with pytest.raises(InputError, match="rho"):
+        Regularizer("l2l0", alpha=0.5, rho=rho)
+
+
 class TestHardThreshold:
     def test_boundary_zeroed(self):
         out = hard_threshold(np.array([0.5, -2.0, 1.0]), 0.5)

@@ -138,6 +138,15 @@ def test_config_rejects_bad_values():
             TrainConfig(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"seed": -1}, {"eps0": np.inf}, {"eps0": np.nan}, {"mu": np.inf},
+    {"mu": np.nan}, {"eta": np.inf}, {"eta": np.nan},
+    {"mu": np.inf, "strategy": "ma"}], ids=str)
+def test_config_rejects_negative_seed_and_non_finite_steps(kwargs):
+    with pytest.raises(InputError, match=next(iter(kwargs))):
+        TrainConfig(**kwargs)
+
+
 def test_config_fills_strategy_profile():
     sqh, ma = TrainConfig(), TrainConfig(strategy="ma")
     assert (sqh.mu, sqh.zeta, sqh.omega) == (7.0, 0.01, 5)
